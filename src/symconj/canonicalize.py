@@ -93,33 +93,31 @@ def _fresh_pool(used):
 
 class _LazySum:
     """Deferred sum of leaves: multiset of non-constant handles plus a
-    folded constant, materialized on demand."""
+    folded constant, materialized on demand. ``counts`` maps node id to
+    ``(handle, multiplicity)`` in first-insertion order."""
 
-    __slots__ = ("counts", "order", "const", "shape", "realized")
+    __slots__ = ("counts", "const", "shape", "realized")
 
     def __init__(self, shape):
         self.counts = {}
-        self.order = []
         self.const = None
         self.shape = tuple(shape)
         self.realized = None
 
     def add_leaf(self, h, k=1):
-        if h.nid in self.counts:
-            self.counts[h.nid][1] += k
-        else:
-            self.counts[h.nid] = [h, k]
-            self.order.append(h.nid)
+        old = self.counts.get(h.nid)
+        self.counts[h.nid] = (h, k) if old is None else (old[0], old[1] + k)
 
     @staticmethod
     def merge(a, b):
         shape = a.shape if a.shape == b.shape else tuple(
             np.broadcast_shapes(a.shape, b.shape))
         out = _LazySum(shape)
+        out.counts = {**a.counts, **b.counts}  # a's leaves first
+        for nid in a.counts.keys() & b.counts.keys():
+            h, k = a.counts[nid]
+            out.counts[nid] = (h, k + b.counts[nid][1])
         for src in (a, b):
-            for nid in src.order:
-                h, k = src.counts[nid]
-                out.add_leaf(h, k)
             if src.const is not None:
                 out.const = (src.const if out.const is None
                              else out.const + src.const)
@@ -255,32 +253,33 @@ class _Simplifier:
         out_shape = tuple(extents[c] for c in out)
         coef = 1.0
 
-        def _is_ones(h):
-            return self.is_const(h) and self.const_kind(h)[0]
+        # (is_all_ones, is_annihilator) of constant operands, else None
+        kinds = [self.const_kind(h) if self.is_const(h) else None
+                 for _, h in operands]
 
         # duplicate copies of one all-ones factor multiply to itself
         deduped = []
         seen_ones = set()
-        for subs, h in operands:
-            if _is_ones(h):
+        for (subs, h), kind in zip(operands, kinds):
+            if kind is not None and kind[0]:
                 key = (subs, h.nid)
                 if key in seen_ones:
                     continue
                 seen_ones.add(key)
-            deduped.append((subs, h))
-        operands = deduped
+            deduped.append((subs, h, kind))
+        operands = [(subs, h) for subs, h, _ in deduped]
 
         kept = []
-        for j, (subs, h) in enumerate(operands):
-            if not self.is_const(h):
+        for j, (subs, h, kind) in enumerate(deduped):
+            if kind is None:
                 kept.append((subs, h))
                 continue
-            if self.const_kind(h)[1]:
+            if kind[1]:
                 return self.const(np.zeros(out_shape))
             v = self.cval(h)
             if subs == "":
                 coef *= float(v)
-            elif _is_ones(h):
+            elif kind[0]:
                 elsewhere = set(out)
                 for j2, (s2, _h2) in enumerate(operands):
                     if j2 != j:
@@ -289,8 +288,11 @@ class _Simplifier:
                 for c in dict.fromkeys(subs):
                     if c not in elsewhere:
                         coef *= extents[c]
-                if needed:
-                    kept.append(("".join(needed),
+                needed = "".join(needed)
+                if needed == subs:  # nothing to slim: the factor itself
+                    kept.append((subs, h))
+                elif needed:
+                    kept.append((needed,
                                  self.const(np.ones([extents[c] for c in needed]))))
             else:
                 kept.append((subs, h))
@@ -407,8 +409,7 @@ class _Simplifier:
         if x.realized is not None:
             return x.realized
         terms = []
-        for nid in x.order:
-            h, k = x.counts[nid]
+        for h, k in x.counts.values():
             terms.append(h if k == 1 else self.scale(float(k), h))
         if x.const is not None and np.any(x.const):
             terms.append(self.const(x.const))
@@ -427,8 +428,7 @@ class _Simplifier:
     def lazy_scale(self, c, x):
         lx = self._as_lazy(x)
         out = _LazySum(lx.shape)
-        for nid in lx.order:
-            h, k = lx.counts[nid]
+        for h, k in lx.counts.values():
             out.add_leaf(self.scale(c, h), k)
         if lx.const is not None:
             out.const = c * lx.const
@@ -744,10 +744,11 @@ def normalize_graph(g: TermGraph, max_rules: int = 10000,
     measure = progress_measure(g) if check_progress else None
     window: list[int] = []
     seen_states = {_state_digest(g)}
+    misses = {rule.name: set() for rule in REGISTRY}
     while True:
         applied = False
         for rule in REGISTRY:
-            g2, applied = apply_rule(rule, g)
+            g2, applied = apply_rule(rule, g, misses[rule.name])
             if applied:
                 g = local_simplify(g2)
                 fired.append(rule.name)

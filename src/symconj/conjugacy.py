@@ -39,7 +39,8 @@ from . import graph as G
 from .canonicalize import (
     CanonicalForm, canonicalize, index_monomials, normalize_graph,
 )
-from .errors import ConjugacyError, NonMultiaffineError, UnknownFamilyError
+from .errors import (ConjugacyError, GraphError, NonMultiaffineError,
+                     UnknownFamilyError)
 from .expfam import (
     BUILTIN, Distribution, FamilySpec, SupportType,
 )
@@ -261,7 +262,7 @@ def extract_natural_parameters(gtilde, stat_names: dict, var: str):
         for onm in own_inputs:
             try:
                 oid = gr.input_id(onm)
-            except Exception:
+            except GraphError:
                 continue
             if reach[oid]:
                 raise NonMultiaffineError(

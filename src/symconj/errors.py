@@ -19,11 +19,7 @@ class EncodingError(SymconjError):
 
 
 class FactorizationError(SymconjError):
-    """Matrix factorization failure; carries the failing pivot index."""
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
+    """Matrix factorization failure (non-square or singular input)."""
 
 
 class GraphError(SymconjError):

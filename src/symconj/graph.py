@@ -186,6 +186,7 @@ class TermGraph:
         self.inputs = tuple(inputs)
         self.output = output
         self._hashes = None
+        self._live = None
 
     def __len__(self):
         return len(self.nodes)
@@ -244,6 +245,14 @@ class TermGraph:
             if isinstance(node, PrimNode):
                 stack.extend(node.args)
         return mask
+
+    def live_nodes(self):
+        """``(node id, node)`` pairs reachable from the output, cached."""
+        if self._live is None:
+            reach = self.reachable()
+            self._live = tuple((i, node) for i, node in enumerate(self.nodes)
+                               if reach[i])
+        return self._live
 
     def depends_on(self, source_ids):
         """Boolean per-node mask: node value depends on any of the sources."""
@@ -522,11 +531,8 @@ def evaluate(g: TermGraph, env: dict) -> np.ndarray:
     ``env`` maps input names to tensors; every input reachable from the
     output must be bound with a matching shape.
     """
-    reach = g.reachable()
     values: dict[int, np.ndarray] = {}
-    for i, node in enumerate(g.nodes):
-        if not reach[i]:
-            continue
+    for i, node in g.live_nodes():
         if isinstance(node, InputNode):
             if node.name not in env:
                 raise GraphError(f"missing binding for input {node.name!r}")
@@ -553,25 +559,26 @@ def cse(g: TermGraph) -> TermGraph:
     nodes. Idempotent; evaluation-preserving."""
     hashes = g.structural_hashes()
     reach = g.reachable()
-    gb = GraphBuilder(dedup=True)
-    remap: dict[int, ExprHandle] = {}
-    first: dict[bytes, ExprHandle] = {}
+    nodes, shapes = [], []
+    remap: dict[int, int] = {}
+    first: dict[bytes, int] = {}
     for i, node in enumerate(g.nodes):
-        keep = reach[i] or isinstance(node, InputNode)
-        if not keep:
+        if not (reach[i] or isinstance(node, InputNode)):
             continue
-        if hashes[i] in first and not isinstance(node, InputNode):
+        if hashes[i] in first:  # inputs have unique names, so never here
             remap[i] = first[hashes[i]]
             continue
-        if isinstance(node, InputNode):
-            h = gb.input(node.name, node.shape, node.support)
-        elif isinstance(node, ConstNode):
-            h = gb.constant(node.value)
-        else:
-            h = gb.prim(node.op, [remap[a] for a in node.args], node.attrs)
-        remap[i] = h
-        first.setdefault(hashes[i], h)
-    return gb.finish(remap[g.output])
+        if isinstance(node, PrimNode):
+            node = PrimNode(node.op, node.attrs,
+                            tuple(remap[a] for a in node.args))
+        remap[i] = first[hashes[i]] = len(nodes)
+        nodes.append(node)
+        shapes.append(g.shapes[i])
+    out = TermGraph(nodes, shapes, [remap[i] for i in g.inputs],
+                    remap[g.output])
+    # kept nodes' arguments map to nodes of equal hash, so the hashes hold
+    out._hashes = tuple(first)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -771,23 +778,26 @@ def _expand_like(gb, h, axis, extent, full_letters):
 
 def _einsum_vjp(gb, formula, arg_handles, cot, k):
     spec = espec(formula)
-    subs = list(spec.operand_subscripts)
+    subs = spec.operand_subscripts
     ksub = subs[k]
-    used = set("".join(subs) + spec.output)
-    fresh = _fresh_letters(used, len(ksub))
-    ops = [cot]
-    parts = [spec.output]
-    for j, other in enumerate(arg_handles):
-        if j != k:
-            ops.append(other)
-            parts.append(subs[j])
-    extents = dict(zip(ksub, arg_handles[k].shape))
-    for pos, ell in enumerate(ksub):
-        n = extents[ell]
-        ops.append(gb.constant(np.eye(n)))
-        parts.append(fresh[pos] + ell)
-    out = "".join(fresh)
-    return gb.prim("einsum", tuple(ops), attrs=(",".join(parts) + "->" + out,))
+    parts = [spec.output] + [s for j, s in enumerate(subs) if j != k]
+    ops = [cot] + [h for j, h in enumerate(arg_handles) if j != k]
+    carried = set("".join(parts))
+    fresh = iter(_fresh_letters(set(formula), len(ksub) - len(set(ksub))))
+    out = []
+    # eye only for a repeated letter, ones only for a letter nothing else carries
+    for ell, n in zip(ksub, arg_handles[k].shape):
+        if ell in out:
+            out.append(next(fresh))
+            ops.append(gb.constant(np.eye(n)))
+            parts.append(ell + out[-1])
+        else:
+            if ell not in carried and ksub.count(ell) == 1:
+                ops.append(gb.constant(np.ones(n)))
+                parts.append(ell)
+            out.append(ell)
+    return gb.prim("einsum", tuple(ops),
+                   attrs=(",".join(parts) + "->" + "".join(out),))
 
 
 def grad(g: TermGraph, wrt: int, wrt_name: str | None = None) -> TermGraph:

@@ -272,12 +272,20 @@ def _preorder(g: TermGraph):
     return order
 
 
-def apply_rule(rule: Rule, g: TermGraph):
+def apply_rule(rule: Rule, g: TermGraph, misses: set | None = None):
     """Apply a rule at the first matching subterm searching from the
-    output downward; returns (graph, applied)."""
+    output downward; returns (graph, applied). A match depends on structure
+    alone, so subterms whose structural hash is in ``misses`` are skipped;
+    the set is cut back to ``g``'s hashes and extended with new misses."""
+    misses = set() if misses is None else misses
+    hashes = g.structural_hashes()
+    misses.intersection_update(hashes)
     for nid in _preorder(g):
+        if hashes[nid] in misses:
+            continue
         binds = match_first(rule.pattern, g, nid)
         if binds is None:
+            misses.add(hashes[nid])
             continue
         gb = GraphBuilder(dedup=True)
         ext: dict[str, int] = {}

@@ -3,7 +3,7 @@
 Everything here is a pure function over numpy float64 arrays: einsum
 contraction, the elementwise special functions used by log densities,
 one-hot encoding, stable log-sum-exp, and the matrix kernels backing
-Gaussian families (Cholesky, inverse, log-determinant).
+Gaussian families (inverse, log-determinant).
 
 Kernels with a restricted domain validate their inputs and raise
 :class:`NumericDomainError` instead of silently propagating NaNs.
@@ -13,6 +13,7 @@ extents across operands.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,15 +116,36 @@ def einsum_output_shape(spec: EinsumSpec, operand_shapes) -> tuple[int, ...]:
     return tuple(extents[i] for i in spec.output)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairwise_steps(spec: EinsumSpec) -> tuple[str, ...]:
+    """Two-operand formulas contracting the operands left to right; each
+    step sums out every index that no later operand or the output needs."""
+    subs, out = spec.operand_subscripts, spec.output
+    if len(subs) <= 2:
+        return (spec.formula,)
+    steps = []
+    acc_sub = subs[0]
+    for k in range(1, len(subs)):
+        later = set(out).union(*subs[k + 1:])
+        merged = dict.fromkeys(acc_sub + subs[k])
+        target = (out if k == len(subs) - 1
+                  else "".join(ch for ch in merged if ch in later))
+        steps.append(f"{acc_sub},{subs[k]}->{target}")
+        acc_sub = target
+    return tuple(steps)
+
+
 def einsum(spec, operands) -> np.ndarray:
     """Evaluate a contraction per the nested-loop sum-of-products
     definition.
 
-    Multi-operand contractions are evaluated pairwise left to right,
-    summing out each index as soon as no later operand or the output needs
-    it, so the cost stays polynomial in the operand sizes; each pairwise
-    step is delegated to numpy after validation. There is no
-    contraction-order optimizer.
+    Ranks and extents are validated on every call. Multi-operand
+    contractions then run pairwise, left to right, so the cost stays
+    polynomial in the operand sizes; each step goes to ``np.einsum``
+    without path optimization. The steps depend only on the subscripts,
+    so they are computed once per formula and cached. ``np.einsum_path``
+    is not used: on the small operands of the derived updates, numpy's
+    path planning and execution cost more than the contraction itself.
     """
     if isinstance(spec, str):
         spec = EinsumSpec(spec)
@@ -133,23 +155,12 @@ def einsum(spec, operands) -> np.ndarray:
             f"formula {spec.formula!r} expects {spec.operand_count} operands, "
             f"got {len(ops)}")
     _index_extents(spec, ops)
-    subs = list(spec.operand_subscripts)
-    out = spec.output
-    if len(ops) <= 2:
-        return np.einsum(spec.formula, *ops, optimize=False)
-    acc, acc_sub = ops[0], subs[0]
-    for k in range(1, len(ops)):
-        later = set(out).union(*subs[k + 1:]) if k + 1 < len(ops) else set(out)
-        merged = []
-        for ch in acc_sub + subs[k]:
-            if ch not in merged:
-                merged.append(ch)
-        target = "".join(ch for ch in merged if ch in later)
-        if k == len(ops) - 1:
-            target = out
-        acc = np.einsum(f"{acc_sub},{subs[k]}->{target}", acc, ops[k],
-                        optimize=False)
-        acc_sub = target
+    steps = _pairwise_steps(spec)
+    if len(steps) == 1:
+        return np.einsum(steps[0], *ops, optimize=False)
+    acc = ops[0]
+    for step, op in zip(steps, ops[1:]):
+        acc = np.einsum(step, acc, op, optimize=False)
     return acc
 
 
@@ -223,33 +234,6 @@ def logsumexp(x, axis: int) -> np.ndarray:
     m = np.where(np.isfinite(m), m, 0.0)
     out = np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
     return out
-
-
-def cholesky(a) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric PD matrix.
-
-    Raises :class:`FactorizationError` with the failing pivot index when the
-    matrix is not positive definite. Symmetry is required up to 1e-10
-    relative to the matrix scale.
-    """
-    a = as_tensor(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise FactorizationError(f"cholesky needs a square matrix, got {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
-        raise FactorizationError("cholesky input is not symmetric")
-    n = a.shape[0]
-    tol = 1e-12 * max(1.0, float(np.trace(a)) / max(n, 1))
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - L[j, :j] @ L[j, :j]
-        if d <= tol:
-            raise FactorizationError(
-                f"matrix not positive definite at pivot {j}", pivot=j)
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
 
 
 def inverse(a) -> np.ndarray:

@@ -12,7 +12,7 @@ from symconj.errors import (
     ConjugacyError, NonMultiaffineError, UnknownFamilyError,
 )
 from symconj.expfam import SupportType
-from symconj.graph import InputNode
+from symconj.graph import ConstNode, InputNode
 from symconj.models import fixture
 
 from oracles import central_diff, gauss_hermite_integral, log_quad
@@ -397,3 +397,30 @@ class TestMultilinearRepr:
         with pytest.warns(UserWarning, match="support tag"):
             fac = complete_conditional(g, 0, SupportType.NONNEGATIVE)
         assert fac.family.name == "Gamma"
+
+
+REFERENCE = ("beta_bernoulli", "normal_gamma", "logistic_jj", "kalman",
+             "factor_analysis", "gmm")
+
+
+def _holds_identity(g):
+    return any(isinstance(n, ConstNode) and n.value.ndim == 2
+               and n.value.shape[0] == n.value.shape[1] > 1
+               and np.array_equal(n.value, np.eye(n.value.shape[0]))
+               for n in g.nodes)
+
+
+class TestEtaGraphConstants:
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_no_identity_constant(self, name):
+        # einsum gradients need an identity only for a repeated subscript,
+        # which no reference fixture's energy contains
+        fx = fixture(name)
+        g = fx.graph()
+        etas = [eg for argnum, support in fx.latents
+                for eg in complete_conditional(
+                    g, argnum, support).eta_graphs.values()]
+        mrepr = multilinear_repr(g, argnums=[a for a, _ in fx.latents],
+                                 supports=[s for _, s in fx.latents])
+        etas += [s.eta_graph for blk in mrepr.blocks for s in blk.stats]
+        assert etas and not any(_holds_identity(eg) for eg in etas)

@@ -91,6 +91,14 @@ class TestEvaluate:
         with pytest.raises(GraphError, match="shape"):
             G.evaluate(g, {"x": np.ones(4)})
 
+    def test_input_checks_run_on_every_call(self):
+        g = beta_bernoulli_graph()
+        assert abs(G.evaluate(g, BB_ENV) - bb_direct(**BB_ENV)) < 1e-9
+        with pytest.raises(GraphError, match="missing binding"):
+            G.evaluate(g, {"z": 0.5})
+        with pytest.raises(GraphError, match="shape"):
+            G.evaluate(g, dict(BB_ENV, z=np.ones(2)))
+
     def test_kernel_domain_error_propagates(self):
         from symconj.errors import NumericDomainError
         g = G.build(lambda x: G.log(x), [("x", ())])
@@ -128,6 +136,20 @@ class TestCSE:
         add = [n for n in out.nodes
                if isinstance(n, G.PrimNode) and n.op == "add"][0]
         assert add.args[0] == add.args[1]
+
+    def test_keeps_unused_inputs_and_valid_hashes(self):
+        gb = G.GraphBuilder()
+        x = gb.input("x", (3,))
+        gb.input("y", (3,))  # unused inputs are kept
+        gb.prim("exp", (x,))  # unreachable, dropped
+        logs = [gb.prim("log", (x,)) for _ in range(2)]
+        g = gb.finish(G.sum_all(gb.prim("add", logs)))
+        out = G.cse(g)
+        assert out.input_names == ("x", "y")
+        assert [n.op for n in out.nodes if isinstance(n, G.PrimNode)] == [
+            "log", "add", "einsum"]
+        fresh = G.TermGraph(out.nodes, out.shapes, out.inputs, out.output)
+        assert out.structural_hashes() == fresh.structural_hashes()
 
     def test_idempotent(self):
         g = beta_bernoulli_graph()
@@ -188,6 +210,31 @@ class TestGrad:
         got = G.evaluate(gr, dict(x=x0, w=w0))
         fd = central_diff(lambda v: float(G.evaluate(g, dict(x=v, w=w0))), x0)
         assert np.abs(got - fd).max() < 1e-5
+
+    @pytest.mark.parametrize("formula,shapes,k", [
+        ("ii->", [(3, 3)], 0),
+        ("iij->j", [(3, 3, 2)], 0),
+        ("ij->i", [(3, 2)], 0),
+        ("i,j->i", [(3,), (2,)], 1),
+        ("ij,jk->ik", [(2, 3), (3, 4)], 0),
+        ("ij,jk->ik", [(2, 3), (3, 4)], 1),
+    ])
+    def test_einsum_vjp_matches_finite_differences(self, formula, shapes, k):
+        rng = np.random.default_rng(3)
+        names = [f"x{j}" for j in range(len(shapes))]
+        weights = rng.standard_normal(
+            np.einsum(formula, *(np.zeros(s) for s in shapes)).shape)
+
+        def model(*xs):
+            return G.sum_all(G.einsum(formula, *xs) * weights)
+
+        g = G.build(model, list(zip(names, shapes)))
+        env = {n: rng.standard_normal(s) for n, s in zip(names, shapes)}
+        got = G.evaluate(G.grad(g, g.input_id(names[k])), env)
+        fd = central_diff(
+            lambda v: float(G.evaluate(g, dict(env, **{names[k]: v}))),
+            env[names[k]])
+        assert np.abs(got - fd).max() < 1e-6
 
     def test_interior_node(self):
         def model(x):

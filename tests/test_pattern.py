@@ -172,6 +172,18 @@ class TestApplyRule:
                    c=rng.standard_normal(3))
         assert abs(G.evaluate(out, env) - G.evaluate(g, env)) < 1e-12
 
+    def test_misses_skip_subterms_and_drop_stale_hashes(self):
+        gb = G.GraphBuilder()
+        a, b, c = (gb.input(n, (3,)) for n in "abc")
+        g = gb.finish(G.einsum("i,i->", a, gb.prim("add", (b, c))))
+        rule = Rule("distribute_einsum", DISTRIBUTE_PAT, distribute_rewriter)
+        hashes = g.structural_hashes()
+        misses = {hashes[g.output], b"gone"}
+        out, applied = apply_rule(rule, g, misses)
+        assert not applied
+        assert G.graph_equal(out, g)
+        assert misses == set(hashes)
+
     def test_non_matching_rule_returns_graph_unchanged(self):
         g, a, b, s = simple_graph()
         rule = Rule("noop", OpPat("multiply", [Val("x"), Val("y")]),
