@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as G
-from .errors import CanonicalizationError, GraphError, NonTerminationError
+from .errors import (CanonicalizationError, GraphError, NonTerminationError,
+                     SymconjError)
 from .graph import (
     ConstNode, GraphBuilder, InputNode, PrimNode, TermGraph, espec,
 )
@@ -157,7 +158,7 @@ class _Simplifier:
             try:
                 return self.const(
                     G._eval_prim(op, attrs, [self.cval(a) for a in args]))
-            except Exception:
+            except SymconjError:
                 return None
         return None
 
@@ -829,11 +830,10 @@ def split_common_scalar_factor(gb, h):
     if not common:
         return None, h
 
-    binds = {name: gb.input_handle(name) for name in norm.input_names}
-    memo: dict[int, object] = {}
+    memo = {i: gb.input_handle(norm.nodes[i].name) for i in norm.inputs}
 
     def emit(nid):
-        return G._emit_into(gb, norm, memo, nid, binds)
+        return G.rebuild(gb, norm, nid, memo)
 
     reps = {}
     first_root = per[0][0].root

@@ -392,8 +392,6 @@ def build_parser():
                         help="canonicalize a fixture or graph file")
     pc.add_argument("model", help="fixture name or graph text file")
     pc.add_argument("--dot", action="store_true", help="emit DOT output")
-    pc.add_argument("--text", action="store_true",
-                    help="emit text output (default)")
     pc.add_argument("--stats", action="store_true",
                     help="append node counts and rule firing histogram")
     pc.add_argument("--max-rules", type=int, default=10000,

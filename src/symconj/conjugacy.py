@@ -150,7 +150,7 @@ def find_sufficient_statistics(cf, var):
         memo[i] = gb.input(node.name, node.shape, node.support)
 
     def emit(i):
-        return G._emit_into(gb, g, memo, i, {})
+        return G.rebuild(gb, g, i, memo)
 
     atoms: dict[int, str] = {}
     residual: list[int] = []

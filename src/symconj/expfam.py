@@ -61,10 +61,6 @@ def _sum_all(gb, h):
     return gb.prim("einsum", (h,), (f"{letters}->",))
 
 
-def _zeros_like_handle(gb, shape):
-    return gb.constant(np.zeros(shape))
-
-
 # ---------------------------------------------------------------------------
 # seeded samplers built from uniform/normal draws
 

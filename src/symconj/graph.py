@@ -6,7 +6,10 @@ are built through a :class:`GraphBuilder` and the expression-combinator
 functions in this module (``log``, ``einsum``, operator overloads on
 handles, ...), interpreted by :func:`evaluate`, deduplicated by
 :func:`cse`, differentiated symbolically by :func:`grad`, and edited by
-:func:`splice`. Text and DOT serializations are produced by :func:`dump`;
+:func:`splice` and :func:`replace_nodes`. Every transform that copies one
+graph into a builder (surgery, :func:`subgraph`, :func:`import_graph`,
+gradients, statistic discovery) goes through one traversal,
+:func:`rebuild`. Text and DOT serializations are produced by :func:`dump`;
 the text form parses back with :func:`parse`.
 
 Node argument lists always reference earlier nodes, so the node table is
@@ -30,7 +33,7 @@ from .tensor import INDEX_ALPHABET, EinsumSpec, as_tensor
 __all__ = [
     "TermGraph", "GraphBuilder", "ExprHandle", "build", "evaluate", "cse",
     "grad", "splice", "dump", "parse", "subgraph", "import_graph",
-    "replace_nodes", "graph_equal",
+    "replace_nodes", "rebuild", "graph_equal",
 ]
 
 # Ops whose second constructor argument is a static attribute tuple:
@@ -177,6 +180,29 @@ def _eval_prim(op, attrs, args):
     raise GraphError(f"unknown primitive {op!r}")
 
 
+def _node_digest(node, arg_digests):
+    """Content digest of one node given the digests of earlier nodes
+    (indexable by node id): constants compare by value bits, einsum
+    formulas after canonical index renaming."""
+    h = hashlib.blake2b(digest_size=16)
+    if isinstance(node, InputNode):
+        h.update(b"in")
+        h.update(repr((node.name, node.shape, node.support)).encode())
+    elif isinstance(node, ConstNode):
+        h.update(b"c")
+        h.update(repr(node.value.shape).encode())
+        h.update(node.value.tobytes())
+    else:
+        attrs = node.attrs
+        if node.op == "einsum":
+            attrs = (rename_formula(attrs[0]),)
+        h.update(node.op.encode())
+        h.update(repr(attrs).encode())
+        for a in node.args:
+            h.update(arg_digests[a])
+    return h.digest()
+
+
 class TermGraph:
     """Immutable acyclic data-flow graph with a designated output node."""
 
@@ -205,29 +231,12 @@ class TermGraph:
         return self.shapes[nid]
 
     def structural_hashes(self):
-        """Per-node content digests; equal digests mean structurally equal
-        subgraphs (constants compared by value bits, einsum formulas after
-        canonical index renaming)."""
+        """Per-node content digests (:func:`_node_digest`); equal digests
+        mean structurally equal subgraphs."""
         if self._hashes is None:
             hashes = []
             for node in self.nodes:
-                h = hashlib.blake2b(digest_size=16)
-                if isinstance(node, InputNode):
-                    h.update(b"in")
-                    h.update(repr((node.name, node.shape, node.support)).encode())
-                elif isinstance(node, ConstNode):
-                    h.update(b"c")
-                    h.update(repr(node.value.shape).encode())
-                    h.update(node.value.tobytes())
-                else:
-                    attrs = node.attrs
-                    if node.op == "einsum":
-                        attrs = (rename_formula(attrs[0]),)
-                    h.update(node.op.encode())
-                    h.update(repr(attrs).encode())
-                    for a in node.args:
-                        h.update(hashes[a])
-                hashes.append(h.digest())
+                hashes.append(_node_digest(node, hashes))
             self._hashes = tuple(hashes)
         return self._hashes
 
@@ -357,7 +366,7 @@ class GraphBuilder:
         self._shapes.append(tuple(shape))
         nid = len(self._nodes) - 1
         if self._dedup:
-            self._seen[self._key(node)] = nid
+            self._seen[key] = nid
         return ExprHandle(self, nid)
 
     def _key(self, node):
@@ -378,28 +387,13 @@ class GraphBuilder:
         return self._digest_id(h.nid)
 
     def _digest_id(self, nid):
-        cached = self._digests.get(nid)
-        if cached is not None:
-            return cached
-        node = self._nodes[nid]
-        h = hashlib.blake2b(digest_size=16)
-        if isinstance(node, InputNode):
-            h.update(b"in")
-            h.update(repr((node.name, node.shape, node.support)).encode())
-        elif isinstance(node, ConstNode):
-            h.update(b"c")
-            h.update(repr(node.value.shape).encode())
-            h.update(node.value.tobytes())
-        else:
-            attrs = node.attrs
-            if node.op == "einsum":
-                attrs = (rename_formula(attrs[0]),)
-            h.update(node.op.encode())
-            h.update(repr(attrs).encode())
-            for a in node.args:
-                h.update(self._digest_id(a))
-        d = h.digest()
-        self._digests[nid] = d
+        d = self._digests.get(nid)
+        if d is None:
+            node = self._nodes[nid]
+            if isinstance(node, PrimNode):
+                for a in node.args:
+                    self._digest_id(a)
+            d = self._digests[nid] = _node_digest(node, self._digests)
         return d
 
     def input_handle(self, name) -> "ExprHandle":
@@ -585,36 +579,47 @@ def cse(g: TermGraph) -> TermGraph:
 # graph surgery
 
 
-def _emit_into(gb, g, memo, nid, input_map):
-    """Recursively re-emit node ``nid`` of ``g`` into builder ``gb``."""
+def rebuild(gb, g, nid, memo, substitute=None):
+    """Re-emit node ``nid`` of ``g``, and every node it reaches, into
+    builder ``gb``; the one node-copying traversal behind graph surgery.
+
+    Arguments are visited left to right. ``memo`` maps node ids of ``g`` to
+    handles of ``gb`` and is filled as nodes are emitted; a pre-seeded
+    entry stands in for its node, whose interior is then never visited.
+    ``substitute(i)``, when given, is asked the first time node ``i`` is
+    reached and returns a handle to stand in for it, or ``None`` to copy
+    the node.
+    """
     if nid in memo:
         h = memo[nid]
         if h is None:
-            raise GraphError("splice would introduce a cycle")
+            raise GraphError("graph surgery would introduce a cycle")
         return h
     memo[nid] = None  # in-progress marker
-    node = g.nodes[nid]
-    if isinstance(node, InputNode):
-        if node.name in input_map:
-            h = input_map[node.name]
-        else:
+    h = None if substitute is None else substitute(nid)
+    if h is None:
+        node = g.nodes[nid]
+        if isinstance(node, InputNode):
             h = gb.input(node.name, node.shape, node.support)
-    elif isinstance(node, ConstNode):
-        h = gb.constant(node.value)
-    else:
-        args = [_emit_into(gb, g, memo, a, input_map) for a in node.args]
-        h = gb.prim(node.op, args, node.attrs)
+        elif isinstance(node, ConstNode):
+            h = gb.constant(node.value)
+        else:
+            h = gb.prim(node.op, [rebuild(gb, g, a, memo, substitute)
+                                  for a in node.args], node.attrs)
     memo[nid] = h
     return h
 
 
 def import_graph(gb, sub: TermGraph, bindings: dict) -> ExprHandle:
     """Inline a subgraph into a builder, binding its inputs to handles."""
-    for name in sub.input_names:
-        if name not in bindings and sub.reachable()[sub.input_id(name)]:
-            raise GraphError(f"import_graph: unbound input {name!r}")
     memo: dict[int, ExprHandle] = {}
-    return _emit_into(gb, sub, memo, sub.output, bindings)
+    for i in sub.inputs:
+        name = sub.nodes[i].name
+        if name in bindings:
+            memo[i] = bindings[name]
+        elif sub.reachable()[i]:
+            raise GraphError(f"import_graph: unbound input {name!r}")
+    return rebuild(gb, sub, sub.output, memo)
 
 
 def splice(g: TermGraph, target: int, replacement: TermGraph,
@@ -625,7 +630,7 @@ def splice(g: TermGraph, target: int, replacement: TermGraph,
     or are mapped by ``bindings`` (input name -> node id of ``g``). Every
     consumer of ``target`` consumes the replacement's output afterwards.
     """
-    bindings = dict(bindings or {})
+    bindings = bindings or {}
     if replacement.shapes[replacement.output] != g.shapes[target]:
         raise GraphError(
             f"splice: replacement shape {replacement.shapes[replacement.output]} "
@@ -633,35 +638,18 @@ def splice(g: TermGraph, target: int, replacement: TermGraph,
     gb = GraphBuilder(dedup=True)
     memo: dict[int, ExprHandle] = {}
 
-    def emit(i):
-        if i in memo:
-            if memo[i] is None:
-                raise GraphError("splice introduces a cycle")
-            return memo[i]
-        memo[i] = None
-        node = g.nodes[i]
-        if i == target:
-            imports = {}
-            for name in replacement.input_names:
-                if name in bindings:
-                    imports[name] = emit(bindings[name])
-                else:
-                    imports[name] = emit(g.input_id(name))
-            h = import_graph(gb, replacement, imports)
-        elif isinstance(node, InputNode):
-            h = gb.input(node.name, node.shape, node.support)
-        elif isinstance(node, ConstNode):
-            h = gb.constant(node.value)
-        else:
-            h = gb.prim(node.op, [emit(a) for a in node.args], node.attrs)
-        memo[i] = h
-        return h
+    def substitute(i):
+        if i != target:
+            return None
+        imports = {name: rebuild(gb, g, bindings[name] if name in bindings
+                                 else g.input_id(name), memo, substitute)
+                   for name in replacement.input_names}
+        return import_graph(gb, replacement, imports)
 
     for i in g.inputs:
         if i != target:
-            emit(i)
-    out = emit(g.output)
-    return gb.finish(out)
+            rebuild(gb, g, i, memo, substitute)
+    return gb.finish(rebuild(gb, g, g.output, memo, substitute))
 
 
 def replace_nodes(g: TermGraph, mapping: dict) -> tuple[TermGraph, dict]:
@@ -675,37 +663,25 @@ def replace_nodes(g: TermGraph, mapping: dict) -> tuple[TermGraph, dict]:
     gb = GraphBuilder(dedup=True)
     memo: dict[int, ExprHandle] = {}
 
-    def emit(i):
-        if i in memo:
-            return memo[i]
-        node = g.nodes[i]
-        if i in mapping:
-            spec = mapping[i]
-            if spec[0] == "input":
-                h = gb.input(spec[1], g.shapes[i],
-                             spec[2] if len(spec) > 2 else None)
-            elif spec[0] == "const":
-                v = as_tensor(spec[1])
-                if v.shape != g.shapes[i]:
-                    raise GraphError(
-                        f"replacement constant shape {v.shape} != node shape "
-                        f"{g.shapes[i]}")
-                h = gb.constant(v)
-            else:
-                raise GraphError(f"unknown replacement spec {spec!r}")
-        elif isinstance(node, InputNode):
-            h = gb.input(node.name, node.shape, node.support)
-        elif isinstance(node, ConstNode):
-            h = gb.constant(node.value)
-        else:
-            h = gb.prim(node.op, [emit(a) for a in node.args], node.attrs)
-        memo[i] = h
-        return h
+    def substitute(i):
+        spec = mapping.get(i)
+        if spec is None:
+            return None
+        if spec[0] == "input":
+            return gb.input(spec[1], g.shapes[i],
+                            spec[2] if len(spec) > 2 else None)
+        if spec[0] == "const":
+            v = as_tensor(spec[1])
+            if v.shape != g.shapes[i]:
+                raise GraphError(
+                    f"replacement constant shape {v.shape} != node shape "
+                    f"{g.shapes[i]}")
+            return gb.constant(v)
+        raise GraphError(f"unknown replacement spec {spec!r}")
 
     for i in g.inputs:
-        emit(i)
-    out = emit(g.output)
-    new = gb.finish(out)
+        rebuild(gb, g, i, memo, substitute)
+    new = gb.finish(rebuild(gb, g, g.output, memo, substitute))
     return new, {old: h.nid for old, h in memo.items()}
 
 
@@ -713,9 +689,7 @@ def subgraph(g: TermGraph, nid: int) -> TermGraph:
     """Extract the subgraph rooted at a node as its own TermGraph; inputs
     are the original inputs it reaches."""
     gb = GraphBuilder(dedup=True)
-    memo: dict[int, ExprHandle] = {}
-    out = _emit_into(gb, g, memo, nid, {})
-    return gb.finish(out)
+    return gb.finish(rebuild(gb, g, nid, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -831,17 +805,6 @@ def grad(g: TermGraph, wrt: int, wrt_name: str | None = None) -> TermGraph:
         t_handle = gb.input(name, wrt_shape)
         memo[wrt] = t_handle
 
-    def fwd(i):
-        if i in memo:
-            return memo[i]
-        node = g.nodes[i]
-        if isinstance(node, ConstNode):
-            h = gb.constant(node.value)
-        else:
-            h = gb.prim(node.op, [fwd(a) for a in node.args], node.attrs)
-        memo[i] = h
-        return h
-
     dep = g.depends_on([wrt])
     reach = g.reachable()
     adjoint: dict[int, ExprHandle] = {}
@@ -854,8 +817,8 @@ def grad(g: TermGraph, wrt: int, wrt_name: str | None = None) -> TermGraph:
             if not isinstance(node, PrimNode):
                 continue
             cot = adjoint[i]
-            args = [fwd(a) for a in node.args]
-            out_h = fwd(i)
+            args = [rebuild(gb, g, a, memo) for a in node.args]
+            out_h = rebuild(gb, g, i, memo)
             for k, a in enumerate(node.args):
                 if not dep[a]:
                     continue

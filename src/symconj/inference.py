@@ -191,18 +191,11 @@ def elbo(state: MeanFieldState) -> float:
         a = blk.family.log_normalizer(nat)
         total += float(np.sum(a))
         means = state.means[blk.name]
-        full_means = dict(means)
-        for d in nat:
-            if d not in full_means:
-                full_means[d] = _family_mean(blk, nat, d)
-        dot = blk.family.dot_nat_stats(nat, full_means)
+        if any(d not in means for d in nat):  # statistics the model omits
+            means = {**blk.family.mean_params(nat), **means}
+        dot = blk.family.dot_nat_stats(nat, means)
         total -= float(np.sum(dot))
     return total
-
-
-def _family_mean(blk, nat, desc):
-    m = blk.family.mean_params(nat)
-    return m[desc]
 
 
 def run_cavi(mrepr: MultilinearRepr, data, init_values=None, max_iters=100,

@@ -66,6 +66,18 @@ class TestLocalSimplify:
         assert not recips
 
 
+    def test_domain_error_leaves_atom_unfolded(self):
+        # log(-1) cannot fold: the kernel raises a NumericDomainError
+        g = G.build(lambda x: G.sum_all(x) + G.log(x.builder.constant(-1.0)),
+                    [("x", (3,))])
+        out = canonicalize(g).graph
+        logs = [n for n in out.nodes
+                if isinstance(n, PrimNode) and n.op == "log"]
+        assert len(logs) == 1
+        arg = out.nodes[logs[0].args[0]]
+        assert isinstance(arg, ConstNode) and float(arg.value) == -1.0
+
+
 class TestCanonicalize:
     def test_fixed_point_for_single_einsum(self):
         g = G.build(lambda x, y: G.einsum("i,i->", x, y),

@@ -346,6 +346,49 @@ class TestSplice:
         with pytest.raises(GraphError):
             G.splice(g, x.nid, frag)
 
+    def test_binding_that_reaches_target_is_a_cycle(self):
+        gb = G.GraphBuilder()
+        x = gb.input("x", ())
+        y = G.log(x)
+        z = G.exp(y)
+        g = gb.finish(z + 1.0)
+        rb = G.GraphBuilder()
+        frag = rb.finish(G.square(rb.input("u", ())))
+        with pytest.raises(GraphError, match="cycle"):
+            G.splice(g, y.nid, frag, bindings={"u": z.nid})
+
+
+class TestRebuild:
+    def test_replace_nodes_orders_inputs_and_maps_visited_nodes(self):
+        gb = G.GraphBuilder()
+        a = gb.input("a", (2,))
+        b = gb.input("b", (2,))
+        sq = G.square(a)
+        p = G.log(sq)
+        q = G.exp(b)
+        G.sqrt(a)  # unreachable
+        out = G.sum_all(q + p)
+        g = gb.finish(out)
+        new, idmap = G.replace_nodes(
+            g, {p.nid: ("input", "P"), q.nid: ("input", "Q")})
+        # g's inputs first, then the new ones in first-reach order
+        assert new.input_names == ("a", "b", "Q", "P")
+        reached = {a.nid, b.nid, p.nid, q.nid, out.nid,
+                   g.nodes[out.nid].args[0]}
+        assert set(idmap) == reached
+        assert new.nodes[idmap[p.nid]].name == "P"
+        assert idmap[out.nid] == new.output
+
+    def test_rebuilt_digests_equal_structural_hashes(self):
+        from symconj.models import fixtures
+        for fx in fixtures():
+            g = fx.graph()
+            hashes = g.structural_hashes()
+            for nid in range(len(g.nodes)):
+                gb = G.GraphBuilder()
+                h = G.rebuild(gb, g, nid, {})
+                assert gb.digest(h) == hashes[nid], (fx.name, nid)
+
 
 class TestDump:
     def test_single_input_identity(self):

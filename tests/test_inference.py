@@ -135,6 +135,16 @@ class TestCavi:
         want = float(G.evaluate(marg, BB_DATA))
         assert abs(elbo(state) - want) < 1e-8
 
+    def test_elbo_with_omitted_statistic_equals_log_marginal(self):
+        # Gamma block with no log statistic: its mean comes from the family
+        g = G.build(lambda tau, x: -(tau * x),
+                    [("tau", (), "NONNEGATIVE"), ("x", ())])
+        mrepr = multilinear_repr(g, argnums=(0,),
+                                 supports=(SupportType.NONNEGATIVE,))
+        assert mrepr.block("tau").descriptors == ("identity",)
+        state = cavi_update(init_meanfield(mrepr, {"x": 2.5}), "tau")
+        assert abs(elbo(state) + np.log(2.5)) < 1e-12
+
     def test_no_latents_elbo_is_log_joint(self):
         def model(x):
             return -0.5 * G.square(x)
