@@ -3,25 +3,27 @@ einsum monomials.
 
 The driver alternates two phases until a fixed point:
 
-1. a pattern-directed phase that fires the first matching rule from an
-   ordered registry anywhere in the graph, searching from the output
-   (distributing einsum over addition, splitting logs of products,
-   quotients, roots and powers);
-2. a single input-to-output sweep of local, one-primitive simplifications
+1. a single input-to-output sweep of local, one-primitive simplifications
    with hash-consing: every polynomial primitive (subtract, multiply,
    divide, negate, square, integer powers, sum_axis, broadcast_to) is
    rewritten into einsum form, constants are folded, nested einsums are
    merged flat, scalar factors sharing a base collect their exponents,
-   add-trees flatten into right-leaning chains ordered by structural hash,
-   and einsum index names are canonically renamed.
+   einsums multiply out their sum operands into sums of einsums, add-trees
+   flatten into right-leaning chains ordered by structural hash, and
+   einsum index names are canonically renamed;
+2. a pattern-directed phase that fires the first matching log rule from
+   an ordered registry anywhere in the graph, searching from the output
+   (splitting logs of products, quotients, roots and powers), after which
+   the sweep runs again.
 
 The fixed point is the canonical form: the output is an add-tree whose
 leaves are einsum monomials (or lone atoms/constants), each einsum
 argument being a constant, an input, or a non-polynomial node (an atom).
 Nonlinear atoms are never rewritten away: they are the candidate
 sufficient statistics. There is no termination proof; a rewrite budget
-bounds the driver and an optional progress check asserts that a
-termination measure never increases.
+bounds the rule firings and expansion steps of one normalize_graph call,
+and an optional progress check asserts that a termination measure never
+increases.
 
 The log-splitting rules (log of a product/quotient/root) assume positive
 factors, which is the standing convention for the scale and probability
@@ -30,6 +32,7 @@ quantities log densities are built from.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,7 @@ from .errors import (CanonicalizationError, GraphError, NonTerminationError,
 from .graph import (
     ConstNode, GraphBuilder, InputNode, PrimNode, TermGraph, espec,
 )
-from .pattern import Choice, Const, OpPat, Rule, Segment, Str, Val, apply_rule
+from .pattern import Const, OpPat, Rule, Segment, Str, Val, apply_rule
 from .tensor import INDEX_ALPHABET
 
 __all__ = ["CanonicalForm", "Monomial", "canonicalize", "is_canonical",
@@ -75,11 +78,10 @@ class CanonicalForm:
 # local simplification sweep
 
 
-def _letters(n, used=()):
-    pool = [c for c in INDEX_ALPHABET if c not in used]
-    if len(pool) < n:
+def _letters(n):
+    if n > len(INDEX_ALPHABET):
         raise GraphError("einsum index alphabet exhausted")
-    return pool[:n]
+    return INDEX_ALPHABET[:n]
 
 
 def _fresh_pool(used):
@@ -90,6 +92,38 @@ def _fresh_pool(used):
                 yield c
         raise GraphError("einsum index alphabet exhausted")
     return gen()
+
+
+# op -> the op it undoes: 1/(1/x), log(exp x) and exp(log x) unwrap
+_INVERSE = {"reciprocal": "reciprocal", "log": "exp", "exp": "log"}
+
+
+class _LettersExhausted(Exception):
+    """Merging nested einsums needs ``args[0]`` letters, more than exist."""
+
+
+class _Budget:
+    """Rewrite work one ``normalize_graph`` call may do: rule firings plus
+    expansion steps. Multiplying a term by a sum of n leaves forms n
+    products, n - 1 steps: the terms a binary distribution rule would have
+    added. Spending past ``limit`` raises :class:`NonTerminationError`
+    naming the most recent rules."""
+
+    __slots__ = ("limit", "used", "recent")
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+        self.recent = deque(maxlen=10)
+
+    def spend(self, rule, n=1):
+        self.used += n
+        self.recent.append(rule)
+        if self.used > self.limit:
+            raise NonTerminationError(
+                f"rewrite budget of {self.limit} rule firings and expansion "
+                "steps exhausted",
+                recent_rules=self.recent)
 
 
 class _LazySum:
@@ -109,25 +143,11 @@ class _LazySum:
         old = self.counts.get(h.nid)
         self.counts[h.nid] = (h, k) if old is None else (old[0], old[1] + k)
 
-    @staticmethod
-    def merge(a, b):
-        shape = a.shape if a.shape == b.shape else tuple(
-            np.broadcast_shapes(a.shape, b.shape))
-        out = _LazySum(shape)
-        out.counts = {**a.counts, **b.counts}  # a's leaves first
-        for nid in a.counts.keys() & b.counts.keys():
-            h, k = a.counts[nid]
-            out.counts[nid] = (h, k + b.counts[nid][1])
-        for src in (a, b):
-            if src.const is not None:
-                out.const = (src.const if out.const is None
-                             else out.const + src.const)
-        return out
-
 
 class _Simplifier:
-    def __init__(self):
+    def __init__(self, budget):
         self.gb = GraphBuilder(dedup=True)
+        self.budget = budget
         self._const_kind = {}  # nid -> (is_all_ones, is_any_zero_annihilator)
 
     # -- small helpers ----------------------------------------------------
@@ -136,7 +156,15 @@ class _Simplifier:
         return self.gb.node(h)
 
     def is_const(self, h):
-        return isinstance(self.node(h), ConstNode)
+        return (not isinstance(h, _LazySum)
+                and isinstance(self.node(h), ConstNode))
+
+    def op_of(self, x):
+        node = None if isinstance(x, _LazySum) else self.node(x)
+        return node.op if isinstance(node, PrimNode) else None
+
+    def is_sum(self, x):
+        return isinstance(x, _LazySum) or self.op_of(x) == "add"
 
     def cval(self, h):
         return self.node(h).value
@@ -181,10 +209,10 @@ class _Simplifier:
                 else:  # d == 1 broadcast against a larger extent
                     chars.append(next(pool))
             subs.append("".join(chars))
-        return subs, "".join(out_letters), out_shape
+        return subs, out_letters
 
     def ew_product(self, args):
-        subs, out, _ = self._ew_parts([a.shape for a in args])
+        subs, out = self._ew_parts([a.shape for a in args])
         return self.emit_einsum(",".join(subs) + "->" + out, list(args))
 
     def scale(self, coef, h):
@@ -197,53 +225,48 @@ class _Simplifier:
         target = tuple(target)
         if tuple(h.shape) == target:
             return h
-        rank = len(target)
-        out_letters = _letters(rank)
-        pool = _fresh_pool(set(out_letters))
-        off = rank - len(h.shape)
-        chars = []
-        ops = [h]
-        subs = []
-        covered = set()
-        for i, d in enumerate(h.shape):
-            if d == target[off + i]:
-                chars.append(out_letters[off + i])
-                covered.add(off + i)
-            else:
-                chars.append(next(pool))
-        subs.append("".join(chars))
-        for j in range(rank):
-            if j not in covered:
-                ops.append(self.const(np.ones(target[j])))
-                subs.append(out_letters[j])
-        return self.emit_einsum(",".join(subs) + "->" + "".join(out_letters), ops)
+        (sub, _), out = self._ew_parts([h.shape, target])
+        missing = [c for c in out if c not in sub]
+        ones = [self.const(np.ones(target[out.index(c)])) for c in missing]
+        return self.emit_einsum(",".join([sub] + missing) + "->" + out,
+                                [h] + ones)
 
     # -- einsum emission with merging/collection/renaming -----------------
 
     def emit_einsum(self, formula, args):
+        """Einsum of handles and sums. When an operand is a sum the einsum
+        is multiplied out and the result is a _LazySum of monomials."""
         spec = espec(formula)
         out = spec.output
         operands = list(zip(spec.operand_subscripts, args))
 
         # inline nested einsums (arguments are already simplified)
-        merged = []
+        nested = [espec(self.node(h).attrs[0]) if self.op_of(h) == "einsum"
+                  else None for h in args]
         used = set("".join(spec.operand_subscripts) + out)
-        for subs, h in operands:
-            node = self.node(h)
-            if isinstance(node, PrimNode) and node.op == "einsum":
-                inner = espec(node.attrs[0])
-                mapping = dict(zip(inner.output, subs))
-                fresh = _fresh_pool(used)
-                for ch in "".join(inner.operand_subscripts):
-                    if ch not in mapping:
-                        mapping[ch] = next(fresh)
-                        used.add(mapping[ch])
-                for isubs, anid in zip(inner.operand_subscripts, node.args):
-                    ah = G.ExprHandle(self.gb, anid)
-                    merged.append(("".join(mapping[c] for c in isubs), ah))
-            else:
+        need = len(used) + sum(
+            len(set("".join(inner.operand_subscripts)) - set(inner.output))
+            for inner in nested if inner is not None)
+        if need > len(INDEX_ALPHABET):
+            raise _LettersExhausted(need)
+        merged = []
+        for (subs, h), inner in zip(operands, nested):
+            if inner is None:
                 merged.append((subs, h))
+                continue
+            mapping = dict(zip(inner.output, subs))
+            fresh = _fresh_pool(used)
+            for ch in "".join(inner.operand_subscripts):
+                if ch not in mapping:
+                    mapping[ch] = next(fresh)
+                    used.add(mapping[ch])
+            for isubs, anid in zip(inner.operand_subscripts,
+                                   self.node(h).args):
+                ah = G.ExprHandle(self.gb, anid)
+                merged.append(("".join(mapping[c] for c in isubs), ah))
         operands = merged
+        if any(self.is_sum(h) for _, h in operands):
+            return self._multiply_out(operands, out)
 
         # constant folding: zeros annihilate, scalars multiply into a
         # single coefficient, all-ones factors fold or slim down
@@ -303,19 +326,22 @@ class _Simplifier:
         scalars = [(s, h) for s, h in operands if s == ""]
         if len(scalars) > 1:
             rest = [(s, h) for s, h in operands if s != ""]
-            groups: dict[int, list] = {}
-            order = []
+            groups = {}  # base nid -> [base, exponent], first seen first
             for _, h in scalars:
                 base, e = self._base_exp(h)
-                if base.nid not in groups:
-                    groups[base.nid] = [base, 0.0]
-                    order.append(base.nid)
-                groups[base.nid][1] += e
+                groups.setdefault(base.nid, [base, 0.0])[1] += e
             operands = rest
-            for nid in order:
-                base, e = groups[nid]
+            for base, e in groups.values():
                 for h in self._power_factors(base, e):
                     operands.append(("", h))
+            # a collected base can be a sum or an einsum, as in
+            # sqrt(a+b) * sqrt(a+b): emit again to multiply it out or merge it
+            if any(self.op_of(h) in ("add", "einsum") for _, h in operands):
+                if coef != 1.0:
+                    operands.append(("", self.const(coef)))
+                return self.emit_einsum(
+                    ",".join(s for s, _ in operands) + "->" + out,
+                    [h for _, h in operands])
 
         if not operands:
             return self.const(np.full(out_shape, coef))
@@ -348,15 +374,72 @@ class _Simplifier:
         return self.gb.prim("einsum", [h for _, h in operands],
                             (lhs + "->" + new_out,))
 
+    def _multiply_out(self, operands, out):
+        """Distribute an einsum over its sum operands. The other operands
+        multiply into one partial product; each sum in turn multiplies
+        every partial term by every leaf, keeping only the index letters
+        that later operands or the output still need. Partial terms are
+        collected by node id with multiplicity before the next sum, so
+        equal products are formed once."""
+        plain = [(s, h) for s, h in operands if not self.is_sum(h)]
+        sums = [(s, self._as_lazy(h)) for s, h in operands if self.is_sum(h)]
+        if not plain and len(sums) == 1 and sums[0][0] == out:
+            return sums[0][1]  # identity contraction
+        extents = {}
+        for subs, h in operands:
+            extents.update(zip(subs, h.shape))
+
+        def needed(have, j):
+            if j == len(sums):
+                return out
+            later = set(out).union(*(s for s, _ in sums[j:]))
+            return "".join(c for c in dict.fromkeys(have) if c in later)
+
+        letters = needed("".join(s for s, _ in plain), 0)
+        acc = _LazySum([extents[c] for c in letters])
+        self._add_to(acc, self.emit_einsum(
+            ",".join(s for s, _ in plain) + "->" + letters,
+            [h for _, h in plain]) if plain else self.const(1.0), 1)
+        for j, (subs, lazy) in enumerate(sums):
+            new = needed(letters + subs, j + 1)
+            formula = f"{letters},{subs}->{new}"
+            left, right = self._leaves(acc), self._leaves(lazy)
+            if len(right) > 1:
+                self.budget.spend("distribute_einsum",
+                                  len(left) * (len(right) - 1))
+            acc = _LazySum([extents[c] for c in new])
+            for h, k in left:
+                for leaf, m in right:
+                    self._add_to(acc, self.emit_einsum(formula, [h, leaf]),
+                                 k * m)
+            letters = new
+        return acc
+
+    def _leaves(self, lazy):
+        """(handle, multiplicity) terms of a sum, each at the sum's shape."""
+        terms = [(self.broadcast(h, lazy.shape), k)
+                 for h, k in lazy.counts.values()]
+        if lazy.const is not None and np.any(lazy.const):
+            terms.append(
+                (self.const(np.broadcast_to(lazy.const, lazy.shape)), 1))
+        return terms
+
+    def _add_to(self, acc, x, k):
+        """acc += k * x, for a handle or a sum x of acc's shape."""
+        terms = self._leaves(x) if isinstance(x, _LazySum) else [(x, 1)]
+        for h, m in terms:
+            if self.is_const(h):
+                v = k * m * self.cval(h)
+                acc.const = v if acc.const is None else acc.const + v
+            else:
+                acc.add_leaf(h, k * m)
+
     def _base_exp(self, h):
-        node = self.node(h)
-        if isinstance(node, PrimNode) and node.op == "reciprocal":
+        op, node = self.op_of(h), self.node(h)
+        if op in ("reciprocal", "sqrt"):
             base, e = self._base_exp(G.ExprHandle(self.gb, node.args[0]))
-            return base, -e
-        if isinstance(node, PrimNode) and node.op == "sqrt":
-            base, e = self._base_exp(G.ExprHandle(self.gb, node.args[0]))
-            return base, 0.5 * e
-        if isinstance(node, PrimNode) and node.op == "power":
+            return base, (-e if op == "reciprocal" else 0.5 * e)
+        if op == "power":
             exp_node = self.node(G.ExprHandle(self.gb, node.args[1]))
             if isinstance(exp_node, ConstNode) and exp_node.value.shape == ():
                 base, e = self._base_exp(G.ExprHandle(self.gb, node.args[0]))
@@ -389,29 +472,39 @@ class _Simplifier:
     def _as_lazy(self, x):
         if isinstance(x, _LazySum):
             return x
-        node = self.node(x)
-        if isinstance(node, PrimNode) and node.op == "add":
-            left = self._as_lazy(G.ExprHandle(self.gb, node.args[0]))
-            return _LazySum.merge(
-                left, self._as_lazy(G.ExprHandle(self.gb, node.args[1])))
-        lazy = _LazySum(tuple(x.shape))
-        if self.is_const(x):
-            lazy.const = self.cval(x)
-        else:
-            lazy.add_leaf(x)
+        lazy = _LazySum(x.shape)
+        stack = [x]  # add-tree leaves, left to right
+        while stack:
+            h = stack.pop()
+            node = self.node(h)
+            if isinstance(node, PrimNode) and node.op == "add":
+                stack.extend(G.ExprHandle(self.gb, a) for a in node.args[::-1])
+            elif isinstance(node, ConstNode):
+                lazy.const = (node.value if lazy.const is None
+                              else lazy.const + node.value)
+            else:
+                lazy.add_leaf(h)
         return lazy
 
-    def emit_add(self, a, b):
-        return _LazySum.merge(self._as_lazy(a), self._as_lazy(b))
+    def lazy_sum(self, *parts):
+        """Sum of c * x over the (c, x) pairs, x a handle or a sum."""
+        parts = [(c, self._as_lazy(x)) for c, x in parts]
+        out = _LazySum(np.broadcast_shapes(*(x.shape for _, x in parts)))
+        for c, x in parts:
+            for h, k in x.counts.values():
+                out.add_leaf(h if c == 1.0 else self.scale(c, h), k)
+            if x.const is not None:
+                v = x.const if c == 1.0 else c * x.const
+                out.const = v if out.const is None else out.const + v
+        return out
 
     def realize(self, x):
         if not isinstance(x, _LazySum):
             return x
         if x.realized is not None:
             return x.realized
-        terms = []
-        for h, k in x.counts.values():
-            terms.append(h if k == 1 else self.scale(float(k), h))
+        terms = [h if k == 1 else self.scale(float(k), h)
+                 for h, k in x.counts.values()]
         if x.const is not None and np.any(x.const):
             terms.append(self.const(x.const))
         if not terms:
@@ -421,31 +514,26 @@ class _Simplifier:
             acc = terms[-1]
             for h in reversed(terms[:-1]):
                 acc = self.gb.prim("add", (h, acc))
-            if tuple(acc.shape) != x.shape:
-                acc = self.broadcast(acc, x.shape)
+            if tuple(acc.shape) != x.shape:  # broadcasting multiplies out
+                acc = self.realize(self.broadcast(acc, x.shape))
         x.realized = acc
         return acc
-
-    def lazy_scale(self, c, x):
-        lx = self._as_lazy(x)
-        out = _LazySum(lx.shape)
-        for h, k in lx.counts.values():
-            out.add_leaf(self.scale(c, h), k)
-        if lx.const is not None:
-            out.const = c * lx.const
-        return out
 
     # -- per-node emission -------------------------------------------------
 
     def emit(self, op, attrs, args):
-        if op == "add":
-            return self.emit_add(args[0], args[1])
-        if op == "subtract":
-            return _LazySum.merge(self._as_lazy(args[0]),
-                                  self.lazy_scale(-1.0, args[1]))
+        if op in ("add", "subtract"):
+            sign = 1.0 if op == "add" else -1.0
+            return self.lazy_sum((1.0, args[0]), (sign, args[1]))
         if op == "negate":
-            return self.lazy_scale(-1.0, args[0])
-        args = [self.realize(a) for a in args]
+            return self.lazy_sum((-1.0, args[0]))
+        # the einsum-building ops take a sum of two or more terms as it is,
+        # and emit_einsum multiplies it out
+        keep = op in ("multiply", "divide", "square", "sum_axis",
+                      "broadcast_to", "einsum")
+        args = [a if keep and isinstance(a, _LazySum)
+                and len(a.counts) + (a.const is not None) > 1
+                else self.realize(a) for a in args]
         folded = self._try_fold(op, attrs, args)
         if folded is not None:
             return folded
@@ -477,37 +565,25 @@ class _Simplifier:
         if op == "sum_axis":
             rank = len(args[0].shape)
             axis = int(attrs[0]) % rank
-            letters = _letters(rank)
-            sub = "".join(letters)
+            sub = _letters(rank)
             out = sub[:axis] + sub[axis + 1:]
             return self.emit_einsum(f"{sub}->{out}", [args[0]])
         if op == "broadcast_to":
             return self.broadcast(args[0], attrs[0])
         if op == "einsum":
             return self.emit_einsum(attrs[0], args)
-        if op == "reciprocal":
-            inner = self.node(args[0])
-            if isinstance(inner, PrimNode) and inner.op == "reciprocal":
-                return G.ExprHandle(self.gb, inner.args[0])
-            return self.gb.prim("reciprocal", args)
-        if op == "log":
-            inner = self.node(args[0])
-            if isinstance(inner, PrimNode) and inner.op == "exp":
-                return G.ExprHandle(self.gb, inner.args[0])
-            return self.gb.prim("log", args)
-        if op == "exp":
-            inner = self.node(args[0])
-            if isinstance(inner, PrimNode) and inner.op == "log":
-                return G.ExprHandle(self.gb, inner.args[0])
-            return self.gb.prim("exp", args)
+        if op in _INVERSE and self.op_of(args[0]) == _INVERSE[op]:
+            return G.ExprHandle(self.gb, self.node(args[0]).args[0])
         return self.gb.prim(op, args, attrs)
 
 
-def local_simplify(g: TermGraph) -> TermGraph:
+def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
     """One input-to-output sweep of single-primitive rewrites into einsum
-    form, with constant folding, nested-einsum merging and hash-consing.
-    Evaluation-preserving."""
-    s = _Simplifier()
+    form, with constant folding, nested-einsum merging, multiplying einsums
+    out over sums, and hash-consing. Evaluation-preserving. Expansion steps
+    are charged to ``budget``, the enclosing :func:`normalize_graph` call's
+    (a lone sweep gets 10000)."""
+    s = _Simplifier(_Budget(10000) if budget is None else budget)
     memo = {}
     for i in g.inputs:
         node = g.nodes[i]
@@ -521,7 +597,14 @@ def local_simplify(g: TermGraph) -> TermGraph:
         elif isinstance(node, InputNode):
             memo[i] = s.gb.input(node.name, node.shape, node.support)
         else:
-            memo[i] = s.emit(node.op, node.attrs, [memo[a] for a in node.args])
+            try:
+                memo[i] = s.emit(node.op, node.attrs,
+                                 [memo[a] for a in node.args])
+            except _LettersExhausted as exc:
+                raise CanonicalizationError(
+                    f"the einsum form of {node.op} node n{i} needs "
+                    f"{exc.args[0]} index letters; there are "
+                    f"{len(INDEX_ALPHABET)}") from None
     return G.cse(s.gb.finish(s.realize(memo[g.output])))
 
 
@@ -539,27 +622,6 @@ def _is_splittable_product(formula):
         if any(c not in spec.output for c in subs):
             return False
     return True
-
-
-def _distribute_rewriter(b, gb):
-    add_shape = tuple(np.broadcast_shapes(b["x"].shape, b["y"].shape))
-
-    def inject(v):
-        if tuple(v.shape) != add_shape:
-            v = gb.prim("broadcast_to", (v,), (add_shape,))
-        args = list(b["args1"]) + [v] + list(b["args2"])
-        return gb.prim("einsum", args, (b["formula"],))
-
-    return gb.prim(b["op"], (inject(b["x"]), inject(b["y"])))
-
-
-DISTRIBUTE_EINSUM = Rule(
-    "distribute_einsum",
-    OpPat("einsum", [Str("formula"), Segment("args1"),
-                     Choice(OpPat("subtract", [Val("x"), Val("y")], as_op="op"),
-                            OpPat("add", [Val("x"), Val("y")], as_op="op")),
-                     Segment("args2")]),
-    _distribute_rewriter)
 
 
 def _log_product_rewriter(b, gb):
@@ -607,8 +669,7 @@ LOG_POWER = Rule(
     OpPat("log", [OpPat("power", [Val("x"), Const(name="c")])]),
     lambda b, gb: gb.prim("multiply", (b["c"], gb.prim("log", (b["x"],)))))
 
-REGISTRY = (DISTRIBUTE_EINSUM, LOG_PRODUCT, LOG_RECIPROCAL, LOG_SQRT,
-            LOG_POWER)
+REGISTRY = (LOG_PRODUCT, LOG_RECIPROCAL, LOG_SQRT, LOG_POWER)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +707,8 @@ def is_canonical(g: TermGraph) -> bool:
     return True
 
 
-def _index(g: TermGraph):
+def index_monomials(g: TermGraph):
+    """Monomial index and atom set of a graph already in canonical form."""
     monomials = []
     atoms = set()
     for root in _add_leaves(g, g.output):
@@ -731,7 +793,7 @@ def canonicalize(g: TermGraph, max_rules: int = 10000,
     if not is_canonical(g):
         raise CanonicalizationError(
             "rewriting reached a fixed point that is not canonical")
-    monomials, atoms = _index(g)
+    monomials, atoms = index_monomials(g)
     return CanonicalForm(graph=g, monomials=monomials, atoms=atoms)
 
 
@@ -739,34 +801,34 @@ def normalize_graph(g: TermGraph, max_rules: int = 10000,
                     check_progress: bool = False,
                     firing_log: list | None = None) -> TermGraph:
     """The rewrite loop without the scalar-output requirement; used
-    internally on tensor-valued subgraphs (e.g. natural-parameter graphs)."""
-    g = local_simplify(g)
+    internally on tensor-valued subgraphs (e.g. natural-parameter graphs).
+    ``max_rules`` bounds the rule firings plus expansion steps of all its
+    sweeps; ``firing_log`` receives the log-rule firings."""
+    budget = _Budget(max_rules)
+    g = local_simplify(g, budget)
     fired: list[str] = []
     measure = progress_measure(g) if check_progress else None
     window: list[int] = []
-    seen_states = {_state_digest(g)}
+    seen_states = {g.structural_hashes()[g.output]}
     misses = {rule.name: set() for rule in REGISTRY}
     while True:
         applied = False
         for rule in REGISTRY:
             g2, applied = apply_rule(rule, g, misses[rule.name])
             if applied:
-                g = local_simplify(g2)
                 fired.append(rule.name)
+                budget.spend(rule.name)
+                g = local_simplify(g2, budget)
                 break
         if not applied:
             break
-        if len(fired) > max_rules:
-            raise NonTerminationError(
-                f"rewrite budget of {max_rules} rule applications exhausted",
-                recent_rules=fired[-10:])
         # the driver is deterministic, so revisiting a graph state is a
         # certain livelock
-        digest = _state_digest(g)
+        digest = g.structural_hashes()[g.output]
         if digest in seen_states:
             raise NonTerminationError(
                 "rewriting revisited a previous graph state",
-                recent_rules=fired[-10:])
+                recent_rules=budget.recent)
         seen_states.add(digest)
         if check_progress:
             new_measure = progress_measure(g)
@@ -784,16 +846,6 @@ def normalize_graph(g: TermGraph, max_rules: int = 10000,
     return g
 
 
-def _state_digest(g):
-    hashes = g.structural_hashes()
-    return hashes[g.output]
-
-
-def index_monomials(g: TermGraph):
-    """Monomial index and atom set of a graph already in canonical form."""
-    return _index(g)
-
-
 def split_common_scalar_factor(gb, h):
     """Factor a scalar common to every monomial out of a tensor-valued
     subexpression under construction.
@@ -804,12 +856,10 @@ def split_common_scalar_factor(gb, h):
     handles with ``scalar * residual == h``; otherwise ``(None, h)``.
     Used by Gaussian marginalization so that precision-like scalars stay
     outside matrix inverses and determinants."""
-    from collections import Counter
-
     snapshot = gb.finish(h)
     sub = G.subgraph(snapshot, h.nid)
     norm = normalize_graph(sub)
-    monos, _ = _index(norm)
+    monos, _ = index_monomials(norm)
     hashes = norm.structural_hashes()
     per = []
     for m in monos:
@@ -832,9 +882,6 @@ def split_common_scalar_factor(gb, h):
 
     memo = {i: gb.input_handle(norm.nodes[i].name) for i in norm.inputs}
 
-    def emit(nid):
-        return G.rebuild(gb, norm, nid, memo)
-
     reps = {}
     first_root = per[0][0].root
     for a in norm.nodes[first_root].args:
@@ -843,7 +890,8 @@ def split_common_scalar_factor(gb, h):
             reps[dgs] = a
     factors = []
     for dgs in sorted(common, key=lambda d: d.hex() if hasattr(d, "hex") else d):
-        factors.extend([emit(reps[dgs])] * common[dgs])
+        factors.extend(
+            [G.rebuild(gb, norm, reps[dgs], memo)] * common[dgs])
     scalar = factors[0]
     for f in factors[1:]:
         scalar = gb.prim("multiply", (scalar, f))
@@ -861,7 +909,7 @@ def split_common_scalar_factor(gb, h):
                     and remove.get(dgs, 0) > 0):
                 remove[dgs] -= 1
                 continue
-            kept_ops.append(emit(a))
+            kept_ops.append(G.rebuild(gb, norm, a, memo))
             kept_subs.append(subs)
         if not kept_ops:
             kept_ops, kept_subs = [gb.constant(1.0)], [""]

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``canonicalize`` — canonicalize a bundled fixture or a graph text file
   and print the text/DOT serialization (``--stats`` adds node counts and
-  the rule-firing histogram);
+  the log-rule firing histogram);
 * ``conditional`` — derive and print the complete conditional of one
   variable at concrete argument values;
 * ``infer`` — run Gibbs or block mean-field inference on a fixture,
@@ -393,9 +393,10 @@ def build_parser():
     pc.add_argument("model", help="fixture name or graph text file")
     pc.add_argument("--dot", action="store_true", help="emit DOT output")
     pc.add_argument("--stats", action="store_true",
-                    help="append node counts and rule firing histogram")
+                    help="append node counts and log-rule firing histogram")
     pc.add_argument("--max-rules", type=int, default=10000,
-                    help="rewrite budget before signaling non-termination")
+                    help="budget of log-rule firings plus einsum expansion "
+                         "steps before signaling non-termination")
     pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(fn=cmd_canonicalize)
 

@@ -5,7 +5,7 @@ from symconj import graph as G
 from symconj.canonicalize import (
     canonicalize, is_canonical, local_simplify, progress_measure,
 )
-from symconj.errors import NonTerminationError
+from symconj.errors import CanonicalizationError, NonTerminationError
 from symconj.graph import ConstNode, PrimNode
 from symconj.models import fixture, fixtures
 
@@ -150,6 +150,125 @@ class TestCanonicalize:
         assert a == b
 
 
+# C05's generator, rng seed 0, 330th graph checked: (y**2 + 0.1)**12 with
+# y = sum(x0 - x0). Distributing over one sum at a time without collecting
+# equal products exceeds the default budget.
+POWER_OF_SUM = """\
+# symconj-graph v1
+input x0 (1) NONNEGATIVE
+input x1 () NONNEGATIVE
+prim n2 subtract x0 x0
+prim n3 einsum [a->] n2
+prim n4 square n3
+const n5 () 0.1
+prim n6 add n4 n5
+prim n7 sqrt n6
+const n8 () 3.0
+prim n9 power n7 n8
+const n10 () 2.0
+prim n11 power n9 n10
+prim n12 square n11
+const n13 () 2.0
+prim n14 power n12 n13
+output n14
+"""
+
+# C05's generator, rng seed 5, 134th graph checked: (sum x1)**16 merges into
+# one einsum with 32 index letters.
+TOO_MANY_LETTERS = """\
+# symconj-graph v1
+input x0 () NONNEGATIVE
+input x1 (1,2) NONNEGATIVE
+input x2 () NONNEGATIVE
+prim n3 subtract x0 x2
+prim n4 square n3
+const n5 () 0.1
+prim n6 add n4 n5
+prim n7 sqrt n6
+const n8 () 2.0
+prim n9 power n7 n8
+prim n10 square n9
+const n11 () 0.1
+prim n12 add n10 n11
+prim n13 sqrt n12
+prim n14 square n13
+const n15 () 0.5
+prim n16 add n14 n15
+prim n17 divide x2 n16
+prim n18 add n17 x1
+prim n19 einsum [ab->] x1
+prim n20 square n19
+const n21 () 2.0
+prim n22 power n20 n21
+const n23 () 2.0
+prim n24 power n22 n23
+prim n25 square n24
+const n26 () 0.5
+prim n27 add n25 n26
+prim n28 log n27
+prim n29 subtract n18 n28
+prim n30 square n29
+const n31 () 0.1
+prim n32 add n30 n31
+prim n33 sqrt n32
+prim n34 einsum [ab->] n33
+output n34
+"""
+
+
+def einsums_with_add_operand(g):
+    return [i for i, n in enumerate(g.nodes)
+            if isinstance(n, PrimNode) and n.op == "einsum"
+            and any(isinstance(g.nodes[a], PrimNode)
+                    and g.nodes[a].op == "add" for a in n.args)]
+
+
+class TestMultiplyOut:
+    def test_power_of_sum_within_default_budget(self):
+        g = G.parse(POWER_OF_SUM)
+        cf = canonicalize(g)
+        assert is_canonical(cf.graph)
+        env = dict(x0=np.array([0.6692228837845462]), x1=0.7381609540049892)
+        v0 = float(G.evaluate(g, env))
+        v1 = float(G.evaluate(cf.graph, env))
+        assert abs(v0 - v1) <= 1e-10 * max(1.0, abs(v0))
+
+    def test_collected_exponent_of_sum_multiplies_out(self):
+        def model(a, b, c):
+            r = G.sqrt(a + b)
+            return G.einsum(",,->", r, c, r)
+        g = G.build(model, [("a", ()), ("b", ()), ("c", ())])
+        fired = []
+        cf = canonicalize(g, firing_log=fired)
+        assert fired == []
+        assert einsums_with_add_operand(local_simplify(g)) == []
+        assert len(cf.monomials) == 2
+        env = dict(a=0.7, b=1.9, c=-1.3)
+        assert env_scale_err(g, cf.graph, env) < 1e-12
+
+    @pytest.mark.parametrize("name", [f.name for f in fixtures()])
+    def test_one_sweep_leaves_no_sum_under_einsum(self, name):
+        out = local_simplify(fixture(name).graph())
+        assert einsums_with_add_operand(out) == []
+
+    def test_budget_counts_expansion_steps(self):
+        # each of 1 then 3 partial terms times a 3-leaf sum: 2 + 6 steps,
+        # the firings a binary distribution rule needed
+        def model(u, v, w):
+            s = u + v + w
+            return G.einsum("i,i->", s, s)
+        g = G.build(model, [("u", (3,)), ("v", (3,)), ("w", (3,))])
+        canonicalize(g, max_rules=8)
+        with pytest.raises(NonTerminationError) as err:
+            canonicalize(g, max_rules=7)
+        assert "distribute_einsum" in err.value.recent_rules
+
+    def test_alphabet_exhaustion_names_op_and_letters(self):
+        with pytest.raises(CanonicalizationError,
+                           match="square node n25 needs 32 index letters"):
+            canonicalize(G.parse(TOO_MANY_LETTERS))
+
+
 class TestIsCanonical:
     def test_add_of_einsums_true(self):
         gb = G.GraphBuilder()
@@ -187,7 +306,8 @@ class TestProgress:
             assert progress_measure(cf.graph) == 0, fx.name
 
     def test_measure_positive_before(self):
-        g = fixture("gmm").graph()
+        # one sweep multiplies every sum out, but log redexes survive it
+        g = fixture("log_stress").graph()
         assert progress_measure(local_simplify(g)) > 0
 
 

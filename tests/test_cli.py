@@ -55,6 +55,14 @@ class TestCanonicalizeCmd:
         assert r.returncode == 3
         assert "recent rules" in r.stderr
 
+    def test_too_many_index_letters_exits_1(self, tmp_path):
+        from test_canonicalize import TOO_MANY_LETTERS
+        src = tmp_path / "m.txt"
+        src.write_text(TOO_MANY_LETTERS)
+        r = run_cli("canonicalize", str(src))
+        assert r.returncode == 1
+        assert "needs 32 index letters" in r.stderr
+
     def test_dot_output(self):
         r = run_cli("canonicalize", "beta_bernoulli", "--dot")
         assert r.returncode == 0
