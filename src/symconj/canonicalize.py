@@ -8,9 +8,10 @@ The driver alternates two phases until a fixed point:
    divide, negate, square, integer powers, sum_axis, broadcast_to) is
    rewritten into einsum form, constants are folded, nested einsums are
    merged flat, scalar factors sharing a base collect their exponents,
-   einsums multiply out their sum operands into sums of einsums, add-trees
-   flatten into right-leaning chains ordered by structural hash, and
-   einsum index names are canonically renamed;
+   einsums multiply out their sum operands into sums of einsums, sums
+   collect like monomials (a scalar coefficient is set apart, so x - x
+   cancels), add-trees flatten into right-leaning chains ordered by
+   structural hash, and einsum index names are canonically renamed;
 2. a pattern-directed phase that fires the first matching log rule from
    an ordered registry anywhere in the graph, searching from the output
    (splitting logs of products, quotients, roots and powers), after which
@@ -127,9 +128,13 @@ class _Budget:
 
 
 class _LazySum:
-    """Deferred sum of leaves: multiset of non-constant handles plus a
-    folded constant, materialized on demand. ``counts`` maps node id to
-    ``(handle, multiplicity)`` in first-insertion order."""
+    """Deferred sum of leaves: non-constant monomials with real
+    multiplicities plus a folded constant, materialized on demand. A leaf
+    is keyed by its monomial without the scalar coefficient, which joins
+    the multiplicity, so ``x`` and ``-1 * x`` cancel. ``counts`` maps node
+    id to ``(monomial, multiplicity, whole)`` in first-insertion order,
+    where ``whole`` is a known handle of the product or None; a leaf whose
+    multiplicity reaches zero leaves it."""
 
     __slots__ = ("counts", "const", "shape", "realized")
 
@@ -139,9 +144,19 @@ class _LazySum:
         self.shape = tuple(shape)
         self.realized = None
 
-    def add_leaf(self, h, k=1):
+    def add_leaf(self, h, k, whole=None):
         old = self.counts.get(h.nid)
-        self.counts[h.nid] = (h, k) if old is None else (old[0], old[1] + k)
+        if old is not None:
+            h, k, whole = old[0], old[1] + k, None
+        if k == 0:
+            self.counts.pop(h.nid, None)
+        else:
+            self.counts[h.nid] = (h, k, whole)
+
+    def terms(self):
+        """(handle, multiplicity) per leaf, the whole product if known."""
+        return [(h, k) if whole is None else (whole, 1.0)
+                for h, k, whole in self.counts.values()]
 
 
 class _Simplifier:
@@ -189,6 +204,28 @@ class _Simplifier:
             except SymconjError:
                 return None
         return None
+
+    def add_leaf(self, lazy, h, k):
+        """lazy += k * h, with h's scalar coefficient moved into k."""
+        whole, c = h if k == 1 else None, 1.0
+        node = self.node(h)
+        if isinstance(node, PrimNode) and node.op == "einsum":
+            spec = espec(node.attrs[0])
+            rest = []
+            for subs, a in zip(spec.operand_subscripts, node.args):
+                ah = G.ExprHandle(self.gb, a)
+                if subs == "" and self.is_const(ah):
+                    c *= float(self.cval(ah))
+                else:
+                    rest.append((subs, ah))
+            if len(rest) == 1 and rest[0][0] == spec.output:
+                h = rest[0][1]
+            elif len(rest) < len(node.args):
+                # constants sort first and the coefficient has no letters,
+                # so the rest keeps emit_einsum's order and naming
+                h = self.gb.prim("einsum", [a for _, a in rest], (
+                    ",".join(subs for subs, _ in rest) + "->" + spec.output,))
+        lazy.add_leaf(h, k * c, whole)
 
     # -- elementwise/broadcast formula construction -----------------------
 
@@ -417,8 +454,7 @@ class _Simplifier:
 
     def _leaves(self, lazy):
         """(handle, multiplicity) terms of a sum, each at the sum's shape."""
-        terms = [(self.broadcast(h, lazy.shape), k)
-                 for h, k in lazy.counts.values()]
+        terms = [(self.broadcast(h, lazy.shape), k) for h, k in lazy.terms()]
         if lazy.const is not None and np.any(lazy.const):
             terms.append(
                 (self.const(np.broadcast_to(lazy.const, lazy.shape)), 1))
@@ -432,7 +468,7 @@ class _Simplifier:
                 v = k * m * self.cval(h)
                 acc.const = v if acc.const is None else acc.const + v
             else:
-                acc.add_leaf(h, k * m)
+                self.add_leaf(acc, h, k * m)
 
     def _base_exp(self, h):
         op, node = self.op_of(h), self.node(h)
@@ -483,7 +519,7 @@ class _Simplifier:
                 lazy.const = (node.value if lazy.const is None
                               else lazy.const + node.value)
             else:
-                lazy.add_leaf(h)
+                self.add_leaf(lazy, h, 1.0)
         return lazy
 
     def lazy_sum(self, *parts):
@@ -491,8 +527,8 @@ class _Simplifier:
         parts = [(c, self._as_lazy(x)) for c, x in parts]
         out = _LazySum(np.broadcast_shapes(*(x.shape for _, x in parts)))
         for c, x in parts:
-            for h, k in x.counts.values():
-                out.add_leaf(h if c == 1.0 else self.scale(c, h), k)
+            for h, k, whole in x.counts.values():
+                out.add_leaf(h, c * k, whole if c == 1.0 else None)
             if x.const is not None:
                 v = x.const if c == 1.0 else c * x.const
                 out.const = v if out.const is None else out.const + v
@@ -503,8 +539,7 @@ class _Simplifier:
             return x
         if x.realized is not None:
             return x.realized
-        terms = [h if k == 1 else self.scale(float(k), h)
-                 for h, k in x.counts.values()]
+        terms = [h if k == 1.0 else self.scale(k, h) for h, k in x.terms()]
         if x.const is not None and np.any(x.const):
             terms.append(self.const(x.const))
         if not terms:

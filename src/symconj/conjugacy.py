@@ -16,16 +16,19 @@ attached to each statistic is then the symbolic gradient of g with respect
 to that input; multiaffineness is verified by checking the gradients do
 not depend on any statistic input of the same variable.
 
-On top of this sit the three user-facing transforms:
+One analysis, :func:`_analyze`, does all of this for one or several
+target arguments at once and returns a :class:`MultilinearRepr`: the
+shared energy plus one :class:`LatentBlock` (family, statistic functions,
+eta graphs) per target. The three user-facing transforms are views of it:
 
-* :func:`complete_conditional` compiles a factory mapping values of the
-  remaining arguments to a Distribution for the target variable;
+* :func:`multilinear_repr` returns it, the form block mean-field updates
+  consume;
+* :func:`complete_conditional` wraps its one block in a
+  :class:`ConditionalFactory` mapping values of the remaining arguments
+  to a Distribution for the target variable;
 * :func:`marginalize` rebuilds the log density with the target integrated
-  out, as g0 + A(eta) where g0 zeroes the target's statistics, and
-  re-canonicalizes so transforms compose;
-* :func:`multilinear_repr` extracts the shared energy, statistic
-  functions, and log-normalizers for several variables at once, the form
-  block mean-field updates consume.
+  out, as g0 + A(eta) where g0 zeroes the block's statistics in the
+  energy, and re-canonicalizes so transforms compose.
 """
 
 from __future__ import annotations
@@ -276,55 +279,65 @@ def _check_support_tag(g, var, support):
     vid = g.input_id(var)
     tag = g.nodes[vid].support
     if tag is not None and tag != support.value:
+        # warn <- here <- _analyze <- transform <- the transform's caller
         warnings.warn(
             f"input {var!r} carries support tag {tag} but {support.value} "
-            f"was requested; the explicit argument wins", stacklevel=3)
+            f"was requested; the explicit argument wins", stacklevel=4)
 
 
-def _one_hot_depth(work, stats):
-    for nid, desc in stats.atoms:
-        if desc == "one_hot":
-            return int(work.nodes[nid].attrs[0])
-    return None
-
-
-@dataclass
-class _Analysis:
-    var: str
-    support: SupportType
-    family: FamilySpec
-    gtilde: TermGraph
-    stat_names: dict
-    eta_graphs: dict
-    work: TermGraph
-    stats: StatisticSet
-    one_hot_depth: int | None
-    var_shape: tuple
-
-
-def _analyze_single(log_joint, argnum, support, registry):
-    support = _as_support(support)
+def _analyze(log_joint, argnums, supports, registry) -> MultilinearRepr:
+    """The one conjugacy analysis behind the three transforms: canonicalize
+    once, find each target's statistics and family, replace every statistic
+    with an input of the energy, and take each target's natural parameters
+    as gradients of that energy."""
     names = log_joint.input_names
-    if not 0 <= argnum < len(names):
-        raise ConjugacyError(f"argnum {argnum} out of range for {names}")
-    var = names[argnum]
-    _check_support_tag(log_joint, var, support)
-    cf = canonicalize(log_joint)
-    stats, work, _ = find_sufficient_statistics(cf, var)
-    if stats.residual:
-        raise UnknownFamilyError(
-            f"variable {var!r} appears inside unrecognized atoms; discovered "
-            f"statistics {sorted(stats.descriptors)}",
-            atoms=stats.residual)
-    family = registry.lookup(support, stats.descriptors)
-    depth = _one_hot_depth(work, stats)
-    gtilde, names_map = _replace_stats_with_inputs(work, [stats])
-    etas = extract_natural_parameters(gtilde, names_map[var], var)
-    return _Analysis(
-        var=var, support=support, family=family, gtilde=gtilde,
-        stat_names=names_map[var], eta_graphs=etas, work=work, stats=stats,
-        one_hot_depth=depth,
-        var_shape=log_joint.shapes[log_joint.input_id(var)])
+    if len(argnums) != len(supports):
+        raise ConjugacyError("argnums and supports must align")
+    if len(set(argnums)) != len(argnums):
+        raise ConjugacyError(f"duplicate argnums {list(argnums)}")
+    targets = []
+    for argnum, support in zip(argnums, supports):
+        if not 0 <= argnum < len(names):
+            raise ConjugacyError(f"argnum {argnum} out of range for {names}")
+        support = _as_support(support)
+        _check_support_tag(log_joint, names[argnum], support)
+        targets.append((names[argnum], support))
+
+    work = canonicalize(log_joint).graph
+    all_stats, families = [], []
+    for var, support in targets:
+        stats, work, idmap = find_sufficient_statistics(work, var)
+        if stats.residual:
+            raise UnknownFamilyError(
+                f"variable {var!r} appears inside unrecognized atoms; "
+                f"discovered statistics {sorted(stats.descriptors)}",
+                atoms=stats.residual)
+        families.append(registry.lookup(support, stats.descriptors))
+        all_stats = [
+            StatisticSet(s.var, tuple((idmap[nid], d) for nid, d in s.atoms))
+            for s in all_stats
+        ]
+        all_stats.append(stats)
+
+    gtilde, names_map = _replace_stats_with_inputs(work, all_stats)
+    blocks = []
+    for (var, support), family, stats in zip(targets, families, all_stats):
+        etas = extract_natural_parameters(gtilde, names_map[var], var)
+        entries = []
+        for nid, desc in stats.atoms:
+            name = names_map[var][desc]
+            entries.append(StatEntry(
+                descriptor=desc, input_name=name,
+                shape=gtilde.shapes[gtilde.input_id(name)],
+                stat_graph=subgraph(work, nid), eta_graph=etas[desc]))
+        blocks.append(LatentBlock(
+            name=var, support=support, family=family,
+            shape=log_joint.shapes[log_joint.input_id(var)],
+            stats=tuple(entries)))
+    latents = {var for var, _ in targets}
+    args = tuple(n for n in names if n not in latents)
+    return MultilinearRepr(neg_energy=gtilde, blocks=tuple(blocks),
+                           arg_names=args)
 
 
 def assemble_nat(family, values: dict):
@@ -352,16 +365,23 @@ class ConditionalFactory:
     argument except the target (in declaration order) to obtain the
     target's Distribution."""
 
-    var: str
-    family: FamilySpec
-    support: SupportType
-    eta_graphs: dict
+    block: LatentBlock
     arg_names: tuple
-    one_hot_depth: int | None = None
+
+    @property
+    def var(self) -> str:
+        return self.block.name
+
+    @property
+    def family(self) -> FamilySpec:
+        return self.block.family
+
+    @property
+    def eta_graphs(self) -> dict:
+        return {s.descriptor: s.eta_graph for s in self.block.stats}
 
     def from_env(self, env: dict) -> Distribution:
-        values = {d: G.evaluate(g, env) for d, g in self.eta_graphs.items()}
-        return Distribution(self.family, assemble_nat(self.family, values))
+        return self.block.distribution(env)
 
     def __call__(self, *args) -> Distribution:
         if len(args) != len(self.arg_names):
@@ -380,12 +400,8 @@ def complete_conditional(log_joint: TermGraph, argnum: int, support,
     """Compile the complete conditional of one argument of a scalar
     log-joint graph."""
     _validate_shapes(log_joint, example_shapes)
-    a = _analyze_single(log_joint, argnum, support, registry)
-    rest = tuple(n for n in log_joint.input_names if n != a.var)
-    return ConditionalFactory(
-        var=a.var, family=a.family, support=a.support,
-        eta_graphs=a.eta_graphs, arg_names=rest,
-        one_hot_depth=a.one_hot_depth)
+    mr = _analyze(log_joint, [argnum], [support], registry)
+    return ConditionalFactory(block=mr.blocks[0], arg_names=mr.arg_names)
 
 
 def _validate_shapes(g, example_shapes):
@@ -412,28 +428,23 @@ def marginalize(log_joint: TermGraph, argnum: int, support,
     re-canonicalized so it can feed back into the transforms.
     """
     _validate_shapes(log_joint, example_shapes)
-    a = _analyze_single(log_joint, argnum, support, registry)
-
-    zero_map = {}
-    for desc, name in a.stat_names.items():
-        nid = a.gtilde.input_id(name)
-        zero_map[nid] = ("const", np.zeros(a.gtilde.shapes[nid]))
-    g0, _ = replace_nodes(a.gtilde, zero_map)
+    mr = _analyze(log_joint, [argnum], [support], registry)
+    (blk,) = mr.blocks
+    g = mr.neg_energy
+    g0, _ = replace_nodes(g, {g.input_id(s.input_name):
+                              ("const", np.zeros(s.shape)) for s in blk.stats})
 
     gb = GraphBuilder(dedup=True)
     handles = {}
-    for name in log_joint.input_names:
-        if name == a.var:
-            continue
+    for name in mr.arg_names:
         i = log_joint.input_id(name)
         handles[name] = gb.input(name, log_joint.shapes[i],
                                  log_joint.nodes[i].support)
     h_g0 = G.import_graph(gb, g0, handles)
-    eta_handles = {}
-    for desc, eg in a.eta_graphs.items():
-        eta_handles[desc] = G.import_graph(gb, eg, handles)
-    eta_handles = _combine_eta_handles(a.family, gb, eta_handles)
-    h_a = a.family.lognorm_graph(gb, eta_handles)
+    eta_handles = {s.descriptor: G.import_graph(gb, s.eta_graph, handles)
+                   for s in blk.stats}
+    eta_handles = _combine_eta_handles(blk.family, gb, eta_handles)
+    h_a = blk.family.lognorm_graph(gb, eta_handles)
     out = gb.prim("add", (h_g0, h_a))
     marginal = gb.finish(out, scalar=True)
     return canonicalize(marginal).graph
@@ -481,11 +492,17 @@ class LatentBlock:
     family: FamilySpec
     shape: tuple
     stats: tuple
-    one_hot_depth: int | None = None
 
     def statistic_values(self, value) -> dict:
         return {s.descriptor: G.evaluate(s.stat_graph, {self.name: value})
                 for s in self.stats}
+
+    def distribution(self, env: dict) -> Distribution:
+        """The block's validated Distribution, with natural parameters
+        evaluated from its eta graphs in ``env``."""
+        values = {s.descriptor: G.evaluate(s.eta_graph, env)
+                  for s in self.stats}
+        return Distribution(self.family, assemble_nat(self.family, values))
 
     @property
     def descriptors(self):
@@ -508,10 +525,11 @@ class MultilinearRepr:
         raise ConjugacyError(f"no latent block named {name!r}")
 
     def energy_env(self, stat_values: dict, data: dict) -> dict:
+        """Bind ``data`` and, per block named in ``stat_values``, its
+        statistic inputs to the given values (descriptor -> value)."""
         env = dict(data)
         for var, values in stat_values.items():
-            blk = self.block(var)
-            for s in blk.stats:
+            for s in self.block(var).stats:
                 env[s.input_name] = values[s.descriptor]
         return env
 
@@ -526,58 +544,4 @@ def multilinear_repr(log_joint: TermGraph, argnums, supports,
                      example_shapes=None, registry=BUILTIN) -> MultilinearRepr:
     """Joint multiaffine decomposition over several arguments at once."""
     _validate_shapes(log_joint, example_shapes)
-    if len(argnums) != len(supports):
-        raise ConjugacyError("argnums and supports must align")
-    names = log_joint.input_names
-    targets = []
-    for argnum, support in zip(argnums, supports):
-        support = _as_support(support)
-        var = names[argnum]
-        _check_support_tag(log_joint, var, support)
-        targets.append((var, support))
-
-    cf = canonicalize(log_joint)
-    work = cf.graph
-    all_stats = []
-    for var, support in targets:
-        stats, work, idmap = find_sufficient_statistics(work, var)
-        if stats.residual:
-            raise UnknownFamilyError(
-                f"variable {var!r} appears inside unrecognized atoms",
-                atoms=stats.residual)
-        all_stats = [
-            StatisticSet(s.var,
-                         tuple((idmap[nid], d) for nid, d in s.atoms),
-                         s.residual)
-            for s in all_stats
-        ]
-        all_stats.append(stats)
-
-    stat_graphs = {
-        s.var: {desc: subgraph(work, nid) for nid, desc in s.atoms}
-        for s in all_stats
-    }
-    depths = {s.var: _one_hot_depth(work, s) for s in all_stats}
-    gtilde, names_map = _replace_stats_with_inputs(work, all_stats)
-
-    blocks = []
-    for (var, support), stats in zip(targets, all_stats):
-        family = registry.lookup(support, stats.descriptors)
-        etas = extract_natural_parameters(gtilde, names_map[var], var)
-        entries = []
-        for nid, desc in stats.atoms:
-            name = names_map[var][desc]
-            entries.append(StatEntry(
-                descriptor=desc, input_name=name,
-                shape=gtilde.shapes[gtilde.input_id(name)],
-                stat_graph=stat_graphs[var][desc],
-                eta_graph=etas[desc]))
-        blocks.append(LatentBlock(
-            name=var, support=support, family=family,
-            shape=log_joint.shapes[log_joint.input_id(var)],
-            stats=tuple(entries), one_hot_depth=depths[var]))
-
-    latents = {var for var, _ in targets}
-    args = tuple(n for n in names if n not in latents)
-    return MultilinearRepr(neg_energy=gtilde, blocks=tuple(blocks),
-                           arg_names=args)
+    return _analyze(log_joint, argnums, supports, registry)

@@ -56,11 +56,6 @@ class SupportType(enum.Enum):
     BINARY = "BINARY"
 
 
-def _sum_all(gb, h):
-    letters = INDEX_ALPHABET[:len(h.shape)]
-    return gb.prim("einsum", (h,), (f"{letters}->",))
-
-
 # ---------------------------------------------------------------------------
 # seeded samplers built from uniform/normal draws
 
@@ -242,7 +237,7 @@ class BernoulliFamily(FamilySpec):
 
     def lognorm_graph(self, gb, etas):
         eta = etas["identity"]
-        return _sum_all(gb, gb.prim("log1p", (gb.prim("exp", (eta,)),)))
+        return G.sum_all(gb.prim("log1p", (gb.prim("exp", (eta,)),)))
 
 
 class CategoricalFamily(FamilySpec):
@@ -298,7 +293,7 @@ class CategoricalFamily(FamilySpec):
     def lognorm_graph(self, gb, etas):
         eta = etas["one_hot"]
         lse = gb.prim("logsumexp", (eta,), (len(eta.shape) - 1,))
-        return _sum_all(gb, lse)
+        return G.sum_all(lse)
 
 
 class BetaFamily(FamilySpec):
@@ -349,7 +344,7 @@ class BetaFamily(FamilySpec):
         lgb = gb.prim("log_gamma", (b,))
         lgab = gb.prim("log_gamma", (gb.prim("add", (a, b)),))
         total = gb.prim("subtract", (gb.prim("add", (lg, lgb)), lgab))
-        return _sum_all(gb, total)
+        return G.sum_all(total)
 
 
 class GammaFamily(FamilySpec):
@@ -401,7 +396,7 @@ class GammaFamily(FamilySpec):
         b = gb.prim("negate", (etas["identity"],))
         term = gb.prim("subtract", (gb.prim("log_gamma", (a,)),
                                     gb.prim("multiply", (a, gb.prim("log", (b,))))))
-        return _sum_all(gb, term)
+        return G.sum_all(term)
 
 
 class DirichletFamily(FamilySpec):
@@ -446,9 +441,9 @@ class DirichletFamily(FamilySpec):
     def lognorm_graph(self, gb, etas):
         one = gb.constant(1.0)
         alpha = gb.prim("add", (etas["log"], one))
-        term1 = _sum_all(gb, gb.prim("log_gamma", (alpha,)))
+        term1 = G.sum_all(gb.prim("log_gamma", (alpha,)))
         row_sum = gb.prim("sum_axis", (alpha,), (len(alpha.shape) - 1,))
-        term2 = _sum_all(gb, gb.prim("log_gamma", (row_sum,)))
+        term2 = G.sum_all(gb.prim("log_gamma", (row_sum,)))
         return gb.prim("subtract", (term1, term2))
 
 
@@ -514,8 +509,8 @@ class NormalFamily(FamilySpec):
                                       gb.prim("log", (neg2,))))
         n = int(np.prod(shape)) if shape else 1
         const = gb.constant(0.5 * LOG_2PI * n)
-        return gb.prim("add", (gb.prim("add", (_sum_all(gb, quad),
-                                               _sum_all(gb, logdet))), const))
+        return gb.prim("add", (gb.prim("add", (G.sum_all(quad),
+                                               G.sum_all(logdet))), const))
 
 
 class MultivariateNormalFamily(FamilySpec):
@@ -621,7 +616,7 @@ class MultivariateNormalFamily(FamilySpec):
         quad = gb.prim("multiply", (gb.constant(-0.25), quad))
         neg2r = gb.prim("multiply", (gb.constant(-2.0), residual))
         ld = gb.prim("logdet", (neg2r,))
-        ld_total = _sum_all(gb, ld)
+        ld_total = G.sum_all(ld)
         nbatch = int(np.prod(e2.shape[:-2])) if e2.shape[:-2] else 1
         if scalar is not None:
             rec = gb.prim("reciprocal", (scalar,))

@@ -18,11 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graph as G
-from .conjugacy import (
-    MultilinearRepr, assemble_nat, complete_conditional,
-)
+from .conjugacy import MultilinearRepr, complete_conditional
 from .errors import ConjugacyError, NaturalDomainError
-from .expfam import Distribution
 
 __all__ = [
     "GibbsState", "MeanFieldState", "make_gibbs", "gibbs_sweep", "run_gibbs",
@@ -101,11 +98,11 @@ class MeanFieldState:
     iteration: int = 0
 
 
-def _stat_means(block, nat):
+def _stat_means(block, dist):
     """Mean parameters keyed by the block's discovered descriptors; the
     elementwise square statistic of a multivariate normal block is the
     diagonal of the expected outer product."""
-    m = block.family.mean_params(block.family.pad_nat(nat))
+    m = dist.mean_params()
     out = {}
     for desc in block.descriptors:
         if desc in m:
@@ -116,20 +113,6 @@ def _stat_means(block, nat):
             raise ConjugacyError(
                 f"no mean parameter for statistic {desc!r} of {block.name!r}")
     return out
-
-
-def _energy_env(state: MeanFieldState, skip=None):
-    env = dict(state.data)
-    for blk in state.mrepr.blocks:
-        if blk.name == skip:
-            continue
-        for s in blk.stats:
-            env[s.input_name] = state.means[blk.name][s.descriptor]
-    return env
-
-
-def _eta_for(blk, env):
-    return {s.descriptor: G.evaluate(s.eta_graph, env) for s in blk.stats}
 
 
 def init_meanfield(mrepr: MultilinearRepr, data, init_values=None
@@ -145,19 +128,12 @@ def init_meanfield(mrepr: MultilinearRepr, data, init_values=None
         else:
             seed_stats[blk.name] = {
                 s.descriptor: np.zeros(s.shape) for s in blk.stats}
-    nat = {}
-    means = {}
+    nat, means = {}, {}
     for blk in mrepr.blocks:
-        env = dict(data)
-        for other in mrepr.blocks:
-            if other.name == blk.name:
-                continue
-            for s in other.stats:
-                env[s.input_name] = seed_stats[other.name][s.descriptor]
-        values = _eta_for(blk, env)
-        nat[blk.name] = assemble_nat(blk.family, values)
-        Distribution(blk.family, nat[blk.name])  # domain check
-        means[blk.name] = _stat_means(blk, nat[blk.name])
+        others = {v: t for v, t in seed_stats.items() if v != blk.name}
+        dist = blk.distribution(mrepr.energy_env(others, data))
+        nat[blk.name] = dist.nat
+        means[blk.name] = _stat_means(blk, dist)
     return MeanFieldState(mrepr=mrepr, data=dict(data), nat=nat, means=means)
 
 
@@ -166,28 +142,23 @@ def cavi_update(state: MeanFieldState, var: str) -> MeanFieldState:
     mean parameters of the other blocks; means refreshed from the mean
     map."""
     blk = state.mrepr.block(var)
-    env = _energy_env(state, skip=var)
+    others = {v: m for v, m in state.means.items() if v != var}
     try:
-        values = _eta_for(blk, env)
-        nat = assemble_nat(blk.family, values)
-        Distribution(blk.family, nat)
+        dist = blk.distribution(state.mrepr.energy_env(others, state.data))
     except NaturalDomainError as exc:
         raise NaturalDomainError(
             f"update for {var!r} left the natural domain: {exc}") from exc
-    new_nat = dict(state.nat)
-    new_nat[var] = nat
-    new_means = dict(state.means)
-    new_means[var] = _stat_means(blk, nat)
-    return replace(state, nat=new_nat, means=new_means,
+    return replace(state, nat={**state.nat, var: dist.nat},
+                   means={**state.means, var: _stat_means(blk, dist)},
                    iteration=state.iteration + 1)
 
 
 def elbo(state: MeanFieldState) -> float:
     """Evidence lower bound g(mu) + sum_m [A_m(eta_m) - <eta_m, mu_m>]."""
-    env = _energy_env(state)
+    env = state.mrepr.energy_env(state.means, state.data)
     total = float(G.evaluate(state.mrepr.neg_energy, env))
     for blk in state.mrepr.blocks:
-        nat = blk.family.pad_nat(state.nat[blk.name])
+        nat = state.nat[blk.name]  # zero-padded by Distribution
         a = blk.family.log_normalizer(nat)
         total += float(np.sum(a))
         means = state.means[blk.name]

@@ -215,6 +215,162 @@ prim n34 einsum [ab->] n33
 output n34
 """
 
+# C05's generator, rng seed 8, 90th graph checked
+CANCEL_SEED8 = """\
+# symconj-graph v1
+input x0 (4,2) NONNEGATIVE
+input x1 () NONNEGATIVE
+input x2 () NONNEGATIVE
+prim n3 negate x1
+prim n4 square n3
+const n5 () 2.0
+prim n6 power n4 n5
+prim n7 square n6
+prim n8 subtract x1 x1
+prim n9 square n8
+const n10 () 0.1
+prim n11 add n9 n10
+prim n12 sqrt n11
+prim n13 square n12
+const n14 () 2.0
+prim n15 power n13 n14
+prim n16 square n15
+prim n17 square n16
+prim n18 negate x2
+prim n19 square n18
+const n20 () 0.5
+prim n21 add n19 n20
+prim n22 divide n17 n21
+prim n23 square n22
+const n24 () 0.5
+prim n25 add n23 n24
+prim n26 divide n7 n25
+output n26
+"""
+CANCEL_SEED8_ENV = dict(
+    x0=[[0.8255462170943773, 0.3849862729976109],
+        [1.077041732611134, 1.015635492170933],
+        [0.3084405726092009, 1.8476976586039526],
+        [1.0926735030485617, 0.4322844689951246]],
+    x1=1.0833875897279925,
+    x2=1.3814381153000483)
+
+
+# C05's generator, rng seed 1, 102nd graph checked
+CANCEL_SEED1 = """\
+# symconj-graph v1
+input x0 (1,4) NONNEGATIVE
+prim n1 einsum [ab->] x0
+prim n2 subtract x0 x0
+prim n3 multiply n1 n2
+const n4 () 2.0
+prim n5 power n3 n4
+prim n6 add n5 x0
+prim n7 square n6
+prim n8 square n7
+const n9 () 0.5
+prim n10 add n8 n9
+prim n11 log n10
+prim n12 einsum [ab->] n11
+prim n13 square x0
+const n14 () 0.1
+prim n15 add n13 n14
+prim n16 sqrt n15
+prim n17 subtract n16 x0
+prim n18 add n12 n17
+prim n19 einsum [ab->] n18
+output n19
+"""
+CANCEL_SEED1_ENV = dict(
+    x0=[[0.5126077482557285,
+         0.8136364454251854,
+         0.5057915631137995,
+         1.674984270697301]])
+
+
+# C05's generator, rng seed 11, 140th graph checked
+CANCEL_SEED11 = """\
+# symconj-graph v1
+input x0 (3,4) NONNEGATIVE
+input x1 (3,4) NONNEGATIVE
+input x2 () NONNEGATIVE
+prim n3 einsum [ab->] x0
+prim n4 square x1
+const n5 () 0.5
+prim n6 add n4 n5
+prim n7 divide x1 n6
+prim n8 multiply n3 n7
+prim n9 square x1
+const n10 () 0.1
+prim n11 add n9 n10
+prim n12 sqrt n11
+const n13 () 3.0
+prim n14 power n12 n13
+prim n15 subtract n8 n14
+prim n16 square x0
+const n17 () 0.5
+prim n18 add n16 n17
+prim n19 log n18
+prim n20 square n19
+prim n21 add n15 n20
+prim n22 square x2
+prim n23 add n22 x0
+prim n24 add x0 x0
+prim n25 einsum [ab->] n24
+prim n26 add n23 n25
+prim n27 square n26
+const n28 () 0.5
+prim n29 add n27 n28
+prim n30 log n29
+prim n31 add n21 n30
+prim n32 einsum [ab->] x1
+prim n33 subtract x1 x0
+prim n34 square x0
+const n35 () 0.1
+prim n36 add n34 n35
+prim n37 sqrt n36
+prim n38 add n33 n37
+const n39 () 3.0
+prim n40 power n38 n39
+prim n41 add n40 x2
+prim n42 multiply n32 n41
+prim n43 subtract n31 n42
+const n44 () 1.8065671081181875
+prim n45 multiply n44 n43
+prim n46 square n45
+const n47 () 0.5
+prim n48 add n46 n47
+prim n49 divide x1 n48
+prim n50 einsum [ab->] n49
+output n50
+"""
+CANCEL_SEED11_ENV = dict(
+    x0=[[0.44430808476614575,
+         0.3778657964197244,
+         1.2133463824469362,
+         2.0160255617765848],
+        [1.367875504000681,
+         0.2761206238492059,
+         0.3670328168820658,
+         1.0101052270546198],
+        [1.021675905943155,
+         1.698503003628945,
+         1.0942722641341933,
+         0.4184572276349862]],
+    x1=[[0.9130377802102159,
+         1.0232052405336198,
+         0.7039431271337291,
+         0.44234653324438783],
+        [0.5492788836449328,
+         1.2229249055965585,
+         0.3276164515732104,
+         0.3649840490195365],
+        [0.9173846105016834,
+         0.2789261045476619,
+         2.2409779286847487,
+         1.1308256578308684]],
+    x2=1.4515534391549676)
+
 
 def einsums_with_add_operand(g):
     return [i for i, n in enumerate(g.nodes)
@@ -267,6 +423,40 @@ class TestMultiplyOut:
         with pytest.raises(CanonicalizationError,
                            match="square node n25 needs 32 index letters"):
             canonicalize(G.parse(TOO_MANY_LETTERS))
+
+
+class TestLikeTerms:
+    def test_term_and_its_negation_cancel(self):
+        g = G.build(lambda x, y: G.log(x - x + y), [("x", ()), ("y", ())])
+        want = G.build(lambda x, y: G.log(y), [("x", ()), ("y", ())])
+        assert G.graph_equal(canonicalize(g).graph,
+                             canonicalize(want).graph)
+
+    def test_scaled_copies_collect(self):
+        g = G.build(lambda x: 2.0 * x + 3.0 * x - x, [("x", (3,))],
+                    scalar=False)
+        out = local_simplify(g)
+        node = out.nodes[out.output]
+        assert node.op == "einsum"
+        assert float(out.nodes[node.args[0]].value) == 4.0
+
+    @pytest.mark.parametrize("graph, env", [
+        pytest.param(CANCEL_SEED8, CANCEL_SEED8_ENV, id="seed8"),
+        pytest.param(CANCEL_SEED1, CANCEL_SEED1_ENV, id="seed1"),
+        pytest.param(CANCEL_SEED11, CANCEL_SEED11_ENV, id="seed11",
+                     marks=pytest.mark.xfail(strict=True, reason=(
+                         "multiplying out the polynomial inside the "
+                         "reciprocal is ill-conditioned: terms near 1e5 "
+                         "cancel to 0.12"))),
+    ])
+    def test_c05_graphs_within_c05_tolerance(self, graph, env):
+        g = G.parse(graph)
+        cf = canonicalize(g)
+        assert is_canonical(cf.graph)
+        env = {k: np.asarray(v) for k, v in env.items()}
+        v0 = float(G.evaluate(g, env))
+        v1 = float(G.evaluate(cf.graph, env))
+        assert abs(v0 - v1) <= 1e-10 * max(1.0, abs(v0))
 
 
 class TestIsCanonical:

@@ -399,6 +399,68 @@ class TestMultilinearRepr:
         assert fac.family.name == "Gamma"
 
 
+# each transform analyzed for one argument; all three share one analysis
+TRANSFORMS = {
+    "complete_conditional": lambda g, a, s: complete_conditional(g, a, s),
+    "marginalize": lambda g, a, s: marginalize(g, a, s),
+    "multilinear_repr": lambda g, a, s: multilinear_repr(g, [a], [s]),
+}
+
+
+class TestSharedAnalysis:
+    @pytest.mark.parametrize("argnum", [99, -1])
+    @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+    def test_out_of_range_argnum_rejected(self, transform, argnum):
+        g = fixture("normal_gamma").graph()
+        with pytest.raises(ConjugacyError, match="out of range"):
+            TRANSFORMS[transform](g, argnum, SupportType.REAL)
+
+    def test_duplicate_argnums_rejected(self):
+        g = fixture("normal_gamma").graph()
+        with pytest.raises(ConjugacyError, match="duplicate"):
+            multilinear_repr(g, argnums=[0, 0],
+                             supports=[SupportType.NONNEGATIVE] * 2)
+
+    def test_misaligned_supports_rejected(self):
+        g = fixture("normal_gamma").graph()
+        with pytest.raises(ConjugacyError, match="align"):
+            multilinear_repr(g, argnums=[0, 1],
+                             supports=[SupportType.NONNEGATIVE])
+
+    @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+    def test_unknown_family_lists_discovered_statistics(self, transform):
+        def model(z, c):
+            return -0.5 * G.square(z) + G.log1p(G.exp(z * c))
+
+        g = G.build(model, [("z", (), "REAL"), ("c", ())])
+        with pytest.raises(UnknownFamilyError,
+                           match=r"discovered statistics \['square'\]"):
+            TRANSFORMS[transform](g, 0, SupportType.REAL)
+
+    @pytest.mark.parametrize("transform, args", [
+        (complete_conditional, (0, SupportType.NONNEGATIVE)),
+        (marginalize, (0, SupportType.NONNEGATIVE)),
+        (multilinear_repr, ([0], [SupportType.NONNEGATIVE])),
+    ], ids=["complete_conditional", "marginalize", "multilinear_repr"])
+    def test_support_tag_warning_names_the_caller(self, transform, args):
+        def model(z, a, b):
+            return (a - 1.0) * G.log(z) - b * z
+
+        g = G.build(model, [("z", (), "REAL"), ("a", ()), ("b", ())])
+        with pytest.warns(UserWarning, match="support tag") as w:
+            transform(g, *args)  # called here, so the warning names this file
+        assert w[0].filename == __file__
+
+    def test_conditional_factory_reads_its_block(self):
+        g = fixture("normal_gamma").graph()
+        fac = complete_conditional(g, 1, SupportType.REAL)
+        mrepr = multilinear_repr(g, [1], [SupportType.REAL])
+        assert fac.var == "beta" and fac.arg_names == mrepr.arg_names
+        assert fac.family is mrepr.blocks[0].family
+        assert {d: G.dump(eg) for d, eg in fac.eta_graphs.items()} == {
+            s.descriptor: G.dump(s.eta_graph) for s in mrepr.blocks[0].stats}
+
+
 REFERENCE = ("beta_bernoulli", "normal_gamma", "logistic_jj", "kalman",
              "factor_analysis", "gmm")
 
