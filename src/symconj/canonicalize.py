@@ -402,14 +402,9 @@ class _Simplifier:
             return (0 if self.is_const(h) else 1, name, self.gb.digest(h), subs)
 
         operands.sort(key=key)
-        mapping = {}
-        for ch in out + "".join(s for s, _ in operands):
-            if ch not in mapping:
-                mapping[ch] = INDEX_ALPHABET[len(mapping)]
-        lhs = ",".join("".join(mapping[c] for c in s) for s, _ in operands)
-        new_out = "".join(mapping[c] for c in out)
+        formula = ",".join(s for s, _ in operands) + "->" + out
         return self.gb.prim("einsum", [h for _, h in operands],
-                            (lhs + "->" + new_out,))
+                            (G.rename_formula(formula),))
 
     def _multiply_out(self, operands, out):
         """Distribute an einsum over its sum operands. The other operands

@@ -1,20 +1,21 @@
 """Sufficient-statistic discovery and the conjugacy transforms.
 
 Given a canonicalized log density, the statistics of a variable ``z`` are
-found by walking the sum of monomials: monomials not touching ``z`` are
-ignored, a monomial touching ``z`` through one einsum slot contributes
-either the bare input (identity statistic) or the nonlinear atom in that
-slot (log z, log(1-z), one_hot(z), ...), and a monomial with two bare
-``z`` slots is split so the quadratic part becomes its own einsum
-statistic (elementwise square when the two slots share subscripts, an
-outer product otherwise) with the var-independent operands left behind as
-the coefficient.
+found in one walk over the sum of monomials: monomials not touching ``z``
+are copied, a monomial touching ``z`` through one einsum slot holds either
+the bare input (identity statistic) or the nonlinear atom in that slot
+(log z, log(1-z), one_hot(z), ...), and a monomial with two bare ``z``
+slots is split so the quadratic part becomes its own einsum statistic
+(elementwise square when the two slots share subscripts, an outer product
+otherwise) with the var-independent operands left behind as the
+coefficient. Each statistic is replaced by a fresh input as it is found,
+so the walk yields the energy polynomial g over statistic values.
 
-Replacing every statistic atom with a fresh input turns the log density
-into the energy polynomial g over statistic values. The natural parameter
-attached to each statistic is then the symbolic gradient of g with respect
-to that input; multiaffineness is verified by checking the gradients do
-not depend on any statistic input of the same variable.
+g is multiaffine in a variable's statistics when every monomial holds at
+most one of them, as a direct einsum operand. The natural parameter of a
+statistic t is then the coefficient t carries, read off the monomials
+holding t; it equals the gradient of g with respect to t, which the tests
+check against :func:`graph.grad`.
 
 One analysis, :func:`_analyze`, does all of this for one or several
 target arguments at once and returns a :class:`MultilinearRepr`: the
@@ -27,8 +28,8 @@ eta graphs) per target. The three user-facing transforms are views of it:
   :class:`ConditionalFactory` mapping values of the remaining arguments
   to a Distribution for the target variable;
 * :func:`marginalize` rebuilds the log density with the target integrated
-  out, as g0 + A(eta) where g0 zeroes the block's statistics in the
-  energy, and re-canonicalizes so transforms compose.
+  out, as g0 + A(eta) where g0 sums the energy monomials that hold none
+  of the block's statistics, and re-canonicalizes so transforms compose.
 """
 
 from __future__ import annotations
@@ -40,16 +41,14 @@ import numpy as np
 
 from . import graph as G
 from .canonicalize import (
-    CanonicalForm, canonicalize, index_monomials, normalize_graph,
+    CanonicalForm, canonicalize, index_monomials, local_simplify,
 )
-from .errors import (ConjugacyError, GraphError, NonMultiaffineError,
-                     UnknownFamilyError)
+from .errors import ConjugacyError, NonMultiaffineError, UnknownFamilyError
 from .expfam import (
     BUILTIN, Distribution, FamilySpec, SupportType,
 )
 from .graph import (
-    ConstNode, GraphBuilder, PrimNode, TermGraph, espec, grad,
-    replace_nodes, subgraph,
+    ConstNode, GraphBuilder, PrimNode, TermGraph, espec, subgraph,
 )
 
 __all__ = [
@@ -61,16 +60,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StatisticSet:
-    """Discovered statistics of one variable: (node id, descriptor) pairs
-    in the rewritten graph, plus a residual flag for atoms that depend on
-    the variable but match no known statistic shape."""
+    """Discovered statistics of one variable: descriptor -> statistic graph
+    (a graph over the variable computing it), the identity first, plus the
+    canonical-graph ids of atoms that depend on the variable but match no
+    known statistic shape."""
     var: str
-    atoms: tuple
+    graphs: dict
     residual: tuple = ()
 
     @property
     def descriptors(self):
-        return frozenset(d for _, d in self.atoms)
+        return frozenset(self.graphs)
 
 
 def _as_support(s) -> SupportType:
@@ -124,154 +124,154 @@ def _classify_atom(g, nid, vid):
     return None
 
 
-def _merge_subscripts(s1, s2):
-    out = []
-    for c in s1 + s2:
-        if c not in out:
-            out.append(c)
-    return "".join(out)
+def find_sufficient_statistics(g, var):
+    """Walk a canonical graph (or :class:`CanonicalForm`) once, collecting
+    the statistics of ``var`` and putting the input
+    ``_stat_{var}_{descriptor}`` in place of each one as it is found.
 
-
-def find_sufficient_statistics(cf, var):
-    """Walk a canonical graph and collect the statistics of ``var``.
-
-    Returns ``(stats, work_graph, idmap)``: the statistic set with node
-    ids valid in ``work_graph`` (the canonical graph with quadratic
-    occurrences split into statistic einsums), and a map from old node
-    ids to new ones.
+    Returns ``(stats, energy)``: the :class:`StatisticSet` and the
+    canonical graph over the statistic inputs. Residual atoms are copied.
     """
-    g = cf.graph if isinstance(cf, CanonicalForm) else cf
-    monomials, _ = (cf.monomials, cf.atoms) if isinstance(cf, CanonicalForm) \
-        else index_monomials(cf)
+    if isinstance(g, CanonicalForm):
+        g, monomials = g.graph, g.monomials
+    else:
+        monomials, _ = index_monomials(g)
     vid = g.input_id(var)
     dep = g.depends_on([vid])
 
     gb = GraphBuilder(dedup=True)
     memo: dict[int, object] = {}
     for i in g.inputs:
-        node = g.nodes[i]
-        memo[i] = gb.input(node.name, node.shape, node.support)
+        if i != vid:
+            G.rebuild(gb, g, i, memo)
+    stats: dict[str, TermGraph] = {}
+    residual = set()
 
     def emit(i):
         return G.rebuild(gb, g, i, memo)
 
-    atoms: dict[int, str] = {}
-    residual: list[int] = []
-    terms = []
-    for m in monomials:
-        root = m.root
-        if not dep[root]:
-            terms.append(emit(root))
-            continue
-        node = g.nodes[root]
-        if not (isinstance(node, PrimNode) and node.op == "einsum"):
-            desc = _classify_atom(g, root, vid)
-            h = emit(root)
-            if desc is None:
-                residual.append(h.nid)
-            else:
-                atoms[h.nid] = desc
-            terms.append(h)
-            continue
-        spec = espec(node.attrs[0])
-        bare_slots = []
-        for pos, a in enumerate(node.args):
-            if not dep[a]:
-                continue
-            if a == vid:
-                bare_slots.append(pos)
-                continue
-            desc = _classify_atom(g, a, vid)
-            h = emit(a)
-            if desc is None:
-                residual.append(h.nid)
-            else:
-                atoms[h.nid] = desc
-        if len(bare_slots) == 1:
-            atoms[emit(vid).nid] = "identity"
-            terms.append(emit(root))
-        elif len(bare_slots) == 0:
-            terms.append(emit(root))
-        elif len(bare_slots) == 2:
-            s1 = spec.operand_subscripts[bare_slots[0]]
-            s2 = spec.operand_subscripts[bare_slots[1]]
-            merged = _merge_subscripts(s1, s2)
-            stat = gb.prim("einsum", (emit(vid), emit(vid)),
-                           (f"{s1},{s2}->{merged}",))
-            atoms[stat.nid] = "square" if s1 == s2 else "outer"
-            kept_ops, kept_subs = [stat], [merged]
-            for pos, a in enumerate(node.args):
-                if pos in bare_slots:
-                    continue
-                kept_ops.append(emit(a))
-                kept_subs.append(spec.operand_subscripts[pos])
-            terms.append(gb.prim(
-                "einsum", kept_ops,
-                (",".join(kept_subs) + "->" + spec.output,)))
-        else:
-            h = emit(root)
-            residual.append(h.nid)
-            terms.append(h)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = gb.prim("add", (t, acc))
-    work = gb.finish(acc)
-    idmap = {old: h.nid for old, h in memo.items()}
-
-    # atoms must be maximal: drop any atom also reachable inside another
-    per_desc: dict[str, list] = {}
-    for nid, desc in atoms.items():
-        per_desc.setdefault(desc, []).append(nid)
-    for desc, nids in per_desc.items():
-        if len(nids) > 1:
+    def found(desc, stat):
+        """The energy input standing for statistic graph ``stat``."""
+        name = _stat_input_name(var, desc)
+        if desc not in stats:
+            stats[desc] = stat
+            return gb.input(name, stat.shapes[stat.output])
+        known = stats[desc]
+        if (known.structural_hashes()[known.output]
+                != stat.structural_hashes()[stat.output]):
             raise ConjugacyError(
                 f"variable {var!r} couples through multiple distinct "
                 f"{desc} statistics; not a recognized structure")
-    stats = StatisticSet(
-        var=var,
-        atoms=tuple(sorted(atoms.items())),
-        residual=tuple(sorted(set(residual))),
-    )
-    return stats, work, idmap
+        return gb.input_handle(name)
+
+    def classify(a):
+        if a not in memo:
+            desc = _classify_atom(g, a, vid)
+            if desc is None:
+                residual.add(a)
+            else:
+                memo[a] = found(desc, subgraph(g, a))
+
+    def split_quadratic(node, bare):
+        """The monomial with its two bare slots as one statistic."""
+        spec = espec(node.attrs[0])
+        s1, s2 = (spec.operand_subscripts[pos] for pos in bare)
+        merged = "".join(dict.fromkeys(s1 + s2))
+        sb = GraphBuilder(dedup=True)
+        z = G.rebuild(sb, g, vid, {})
+        stat = sb.finish(sb.prim("einsum", (z, z), (f"{s1},{s2}->{merged}",)))
+        kept = [pos for pos in range(len(node.args)) if pos not in bare]
+        ops = ([found("square" if s1 == s2 else "outer", stat)]
+               + [emit(node.args[pos]) for pos in kept])
+        subs = [merged] + [spec.operand_subscripts[pos] for pos in kept]
+        return gb.prim("einsum", ops, (",".join(subs) + "->" + spec.output,))
+
+    terms = []
+    for m in monomials:
+        root = m.root
+        node = g.nodes[root]
+        if not dep[root]:
+            terms.append(emit(root))
+        elif not (isinstance(node, PrimNode) and node.op == "einsum"):
+            classify(root)
+            terms.append(emit(root))
+        else:
+            bare = [pos for pos, a in enumerate(node.args) if a == vid]
+            for a in node.args:
+                if dep[a] and (a != vid or len(bare) == 1):
+                    classify(a)
+            if len(bare) == 2:
+                terms.append(split_quadratic(node, bare))
+            else:
+                if len(bare) > 2:
+                    residual.add(root)
+                terms.append(emit(root))
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = gb.prim("add", (t, acc))
+    # the identity statistic first, the others in order of discovery
+    order = sorted(stats, key=lambda d: d != "identity")
+    graphs = {d: stats[d] for d in order}
+    return StatisticSet(var, graphs, tuple(sorted(residual))), gb.finish(acc)
 
 
 def _stat_input_name(var, desc):
     return f"_stat_{var}_{desc}"
 
 
-def _replace_stats_with_inputs(work, all_stats):
-    """One rebuild replacing every variable's statistic atoms with fresh
-    inputs named by variable and descriptor."""
-    mapping = {}
-    names = {}
-    for stats in all_stats:
-        for nid, desc in stats.atoms:
-            name = _stat_input_name(stats.var, desc)
-            mapping[nid] = ("input", name)
-            names.setdefault(stats.var, {})[desc] = name
-    gtilde, idmap = replace_nodes(work, mapping)
-    return gtilde, names
+def _held(g, held, own):
+    """The statistics a monomial holds, for error messages: each held
+    operand by its descriptor, or as its op applied to those below it."""
+    def name(a):
+        reach = g.reachable([a])
+        inner = ", ".join(sorted(own[i] for i in own if reach[i]))
+        return own[a] if a in own else f"{g.nodes[a].op}({inner})"
+    return " and ".join(sorted(map(name, held)))
 
 
-def extract_natural_parameters(gtilde, stat_names: dict, var: str):
-    """Symbolic gradients of the energy w.r.t. one variable's statistic
-    inputs, verified multiaffine (no eta graph may depend on any statistic
-    input of the same variable)."""
-    own_inputs = set(stat_names.values())
+def extract_natural_parameters(energy, stat_names: dict, var: str):
+    """Natural parameter graphs of one variable's statistic inputs (named
+    per descriptor in ``stat_names``), read off the energy's monomials.
+
+    The parameter of statistic t is the sum, over the monomials holding t,
+    of the monomial's vector-Jacobian product at t, simplified once: the
+    coefficient t carries, which is the energy's gradient with respect to
+    t. Raises :class:`NonMultiaffineError` unless every monomial holds at
+    most one of the variable's statistics, as a direct einsum operand.
+    """
+    own = {energy.input_id(name): desc for desc, name in stat_names.items()}
+    dep = energy.depends_on(own)
+    gb = GraphBuilder(dedup=True)
+    memo = {}
+    for i in energy.inputs:
+        G.rebuild(gb, energy, i, memo)
+    one = gb.constant(1.0)
+    parts = {desc: [] for desc in stat_names}
+    for m in index_monomials(energy)[0]:
+        root = m.root
+        if not dep[root]:
+            continue
+        node = energy.nodes[root]
+        is_einsum = isinstance(node, PrimNode) and node.op == "einsum"
+        held = [a for a in node.args if dep[a]] if is_einsum else [root]
+        if len(held) > 1 or held[0] not in own:
+            raise NonMultiaffineError(
+                f"log density is not multiaffine in the statistics of "
+                f"{var!r}: one monomial holds {_held(energy, held, own)}")
+        if is_einsum:
+            args = [G.rebuild(gb, energy, a, memo) for a in node.args]
+            parts[own[held[0]]].append(G._einsum_vjp(
+                gb, node.attrs[0], args, one, node.args.index(held[0])))
+        else:  # a lone scalar statistic
+            parts[own[root]].append(one)
     etas = {}
     for desc, name in stat_names.items():
-        gr = normalize_graph(grad(gtilde, gtilde.input_id(name)))
-        reach = gr.reachable()
-        for onm in own_inputs:
-            try:
-                oid = gr.input_id(onm)
-            except GraphError:
-                continue
-            if reach[oid]:
-                raise NonMultiaffineError(
-                    f"log density is not multiaffine in the statistics of "
-                    f"{var!r}: the parameter of {desc!r} depends on {onm!r}")
-        etas[desc] = gr
+        terms = parts[desc] or [
+            gb.constant(np.zeros(energy.shapes[energy.input_id(name)]))]
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = gb.prim("add", (acc, t))
+        etas[desc] = local_simplify(gb.finish(acc))
     return etas
 
 
@@ -285,11 +285,11 @@ def _check_support_tag(g, var, support):
             f"was requested; the explicit argument wins", stacklevel=4)
 
 
-def _analyze(log_joint, argnums, supports, registry) -> MultilinearRepr:
+def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
     """The one conjugacy analysis behind the three transforms: canonicalize
-    once, find each target's statistics and family, replace every statistic
-    with an input of the energy, and take each target's natural parameters
-    as gradients of that energy."""
+    once, walk the energy once per target to put inputs in place of its
+    statistics and match its family, then read each target's natural
+    parameters off the energy's monomials."""
     names = log_joint.input_names
     if len(argnums) != len(supports):
         raise ConjugacyError("argnums and supports must align")
@@ -303,40 +303,31 @@ def _analyze(log_joint, argnums, supports, registry) -> MultilinearRepr:
         _check_support_tag(log_joint, names[argnum], support)
         targets.append((names[argnum], support))
 
-    work = canonicalize(log_joint).graph
-    all_stats, families = [], []
+    energy = canonicalize(log_joint).graph
+    found = []
     for var, support in targets:
-        stats, work, idmap = find_sufficient_statistics(work, var)
+        stats, energy = find_sufficient_statistics(energy, var)
         if stats.residual:
             raise UnknownFamilyError(
                 f"variable {var!r} appears inside unrecognized atoms; "
                 f"discovered statistics {sorted(stats.descriptors)}",
                 atoms=stats.residual)
-        families.append(registry.lookup(support, stats.descriptors))
-        all_stats = [
-            StatisticSet(s.var, tuple((idmap[nid], d) for nid, d in s.atoms))
-            for s in all_stats
-        ]
-        all_stats.append(stats)
+        found.append((stats, BUILTIN.lookup(support, stats.descriptors)))
 
-    gtilde, names_map = _replace_stats_with_inputs(work, all_stats)
     blocks = []
-    for (var, support), family, stats in zip(targets, families, all_stats):
-        etas = extract_natural_parameters(gtilde, names_map[var], var)
-        entries = []
-        for nid, desc in stats.atoms:
-            name = names_map[var][desc]
-            entries.append(StatEntry(
-                descriptor=desc, input_name=name,
-                shape=gtilde.shapes[gtilde.input_id(name)],
-                stat_graph=subgraph(work, nid), eta_graph=etas[desc]))
+    for (var, support), (stats, family) in zip(targets, found):
+        inputs = {d: _stat_input_name(var, d) for d in stats.graphs}
+        etas = extract_natural_parameters(energy, inputs, var)
         blocks.append(LatentBlock(
             name=var, support=support, family=family,
             shape=log_joint.shapes[log_joint.input_id(var)],
-            stats=tuple(entries)))
+            stats=tuple(StatEntry(
+                descriptor=d, input_name=inputs[d],
+                shape=sg.shapes[sg.output], stat_graph=sg,
+                eta_graph=etas[d]) for d, sg in stats.graphs.items())))
     latents = {var for var, _ in targets}
     args = tuple(n for n in names if n not in latents)
-    return MultilinearRepr(neg_energy=gtilde, blocks=tuple(blocks),
+    return MultilinearRepr(neg_energy=energy, blocks=tuple(blocks),
                            arg_names=args)
 
 
@@ -394,58 +385,39 @@ class ConditionalFactory:
         return self(*args).describe()
 
 
-def complete_conditional(log_joint: TermGraph, argnum: int, support,
-                         example_shapes=None, registry=BUILTIN
+def complete_conditional(log_joint: TermGraph, argnum: int, support
                          ) -> ConditionalFactory:
     """Compile the complete conditional of one argument of a scalar
     log-joint graph."""
-    _validate_shapes(log_joint, example_shapes)
-    mr = _analyze(log_joint, [argnum], [support], registry)
+    mr = _analyze(log_joint, [argnum], [support])
     return ConditionalFactory(block=mr.blocks[0], arg_names=mr.arg_names)
 
 
-def _validate_shapes(g, example_shapes):
-    if example_shapes is None:
-        return
-    names = g.input_names
-    if len(example_shapes) != len(names):
-        raise ConjugacyError(
-            f"expected {len(names)} example shapes, got {len(example_shapes)}")
-    for name, s in zip(names, example_shapes):
-        expected = g.shapes[g.input_id(name)]
-        if tuple(np.shape(np.empty(tuple(s)))) != expected:
-            raise ConjugacyError(
-                f"example shape for {name!r} is {tuple(s)}, graph declares "
-                f"{expected}")
-
-
-def marginalize(log_joint: TermGraph, argnum: int, support,
-                example_shapes=None, registry=BUILTIN) -> TermGraph:
+def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
     """Integrate one argument out of a scalar log-joint graph.
 
     Uses the multiaffine split g = g0 + <eta, t(z)>: the result is
-    g0 + A(eta), built from the matched family's log-normalizer graph and
+    g0 + A(eta), where g0 sums the energy monomials that hold none of the
+    block's statistics and A is the matched family's log-normalizer graph,
     re-canonicalized so it can feed back into the transforms.
     """
-    _validate_shapes(log_joint, example_shapes)
-    mr = _analyze(log_joint, [argnum], [support], registry)
+    mr = _analyze(log_joint, [argnum], [support])
     (blk,) = mr.blocks
     g = mr.neg_energy
-    g0, _ = replace_nodes(g, {g.input_id(s.input_name):
-                              ("const", np.zeros(s.shape)) for s in blk.stats})
 
     gb = GraphBuilder(dedup=True)
-    handles = {}
-    for name in mr.arg_names:
-        i = log_joint.input_id(name)
-        handles[name] = gb.input(name, log_joint.shapes[i],
-                                 log_joint.nodes[i].support)
-    h_g0 = G.import_graph(gb, g0, handles)
+    handles = {name: G.rebuild(gb, log_joint, log_joint.input_id(name), {})
+               for name in mr.arg_names}
+    memo = {g.input_id(name): h for name, h in handles.items()}
+    held = g.depends_on([g.input_id(s.input_name) for s in blk.stats])
+    g0 = [G.rebuild(gb, g, m.root, memo)
+          for m in index_monomials(g)[0] if not held[m.root]]
     eta_handles = {s.descriptor: G.import_graph(gb, s.eta_graph, handles)
                    for s in blk.stats}
     eta_handles = _combine_eta_handles(blk.family, gb, eta_handles)
-    h_a = blk.family.lognorm_graph(gb, eta_handles)
-    out = gb.prim("add", (h_g0, h_a))
+    out = blk.family.lognorm_graph(gb, eta_handles)
+    for h in g0:
+        out = gb.prim("add", (h, out))
     marginal = gb.finish(out, scalar=True)
     return canonicalize(marginal).graph
 
@@ -540,8 +512,7 @@ class MultilinearRepr:
         return G.evaluate(self.neg_energy, self.energy_env(stat_values, data))
 
 
-def multilinear_repr(log_joint: TermGraph, argnums, supports,
-                     example_shapes=None, registry=BUILTIN) -> MultilinearRepr:
+def multilinear_repr(log_joint: TermGraph, argnums, supports
+                     ) -> MultilinearRepr:
     """Joint multiaffine decomposition over several arguments at once."""
-    _validate_shapes(log_joint, example_shapes)
-    return _analyze(log_joint, argnums, supports, registry)
+    return _analyze(log_joint, argnums, supports)

@@ -6,11 +6,14 @@ are built through a :class:`GraphBuilder` and the expression-combinator
 functions in this module (``log``, ``einsum``, operator overloads on
 handles, ...), interpreted by :func:`evaluate`, deduplicated by
 :func:`cse`, differentiated symbolically by :func:`grad`, and edited by
-:func:`splice` and :func:`replace_nodes`. Every transform that copies one
-graph into a builder (surgery, :func:`subgraph`, :func:`import_graph`,
-gradients, statistic discovery) goes through one traversal,
-:func:`rebuild`. Text and DOT serializations are produced by :func:`dump`;
-the text form parses back with :func:`parse`.
+:func:`splice`. Every transform that copies one graph into a builder
+(surgery, :func:`subgraph`, :func:`import_graph`, gradients, statistic
+discovery, natural-parameter extraction) goes through one traversal,
+:func:`rebuild`, whose ``substitute`` callback swaps chosen nodes for
+other handles. The einsum vector-Jacobian product behind :func:`grad` also
+reads natural parameters off the canonical monomials. Text and DOT
+serializations are produced by :func:`dump`; the text form parses back
+with :func:`parse`.
 
 Node argument lists always reference earlier nodes, so the node table is
 its own topological order and acyclicity holds by construction. All
@@ -33,7 +36,7 @@ from .tensor import INDEX_ALPHABET, EinsumSpec, as_tensor
 __all__ = [
     "TermGraph", "GraphBuilder", "ExprHandle", "build", "evaluate", "cse",
     "grad", "splice", "dump", "parse", "subgraph", "import_graph",
-    "replace_nodes", "rebuild", "graph_equal",
+    "rebuild", "graph_equal",
 ]
 
 # Ops whose second constructor argument is a static attribute tuple:
@@ -427,7 +430,7 @@ class GraphBuilder:
                 raise GraphError("cannot combine handles from different builders")
             arg_handles.append(a)
         attrs = tuple(attrs)
-        shape = _infer_shape(op, attrs, [h.shape for h in arg_handles])
+        shape = _infer_shape(op, attrs, tuple([h.shape for h in arg_handles]))
         node = PrimNode(op, attrs, tuple(h.nid for h in arg_handles))
         return self._append(node, shape)
 
@@ -650,39 +653,6 @@ def splice(g: TermGraph, target: int, replacement: TermGraph,
         if i != target:
             rebuild(gb, g, i, memo, substitute)
     return gb.finish(rebuild(gb, g, g.output, memo, substitute))
-
-
-def replace_nodes(g: TermGraph, mapping: dict) -> tuple[TermGraph, dict]:
-    """Rebuild ``g`` with nodes swapped for fresh inputs or constants.
-
-    ``mapping`` maps node ids to ``("input", name, support)`` or
-    ``("const", value)``. Returns the new graph and a dict from old node id
-    to new node id. Interiors of replaced nodes are never visited, so
-    replacing an atom leaves other occurrences of its argument intact.
-    """
-    gb = GraphBuilder(dedup=True)
-    memo: dict[int, ExprHandle] = {}
-
-    def substitute(i):
-        spec = mapping.get(i)
-        if spec is None:
-            return None
-        if spec[0] == "input":
-            return gb.input(spec[1], g.shapes[i],
-                            spec[2] if len(spec) > 2 else None)
-        if spec[0] == "const":
-            v = as_tensor(spec[1])
-            if v.shape != g.shapes[i]:
-                raise GraphError(
-                    f"replacement constant shape {v.shape} != node shape "
-                    f"{g.shapes[i]}")
-            return gb.constant(v)
-        raise GraphError(f"unknown replacement spec {spec!r}")
-
-    for i in g.inputs:
-        rebuild(gb, g, i, memo, substitute)
-    new = gb.finish(rebuild(gb, g, g.output, memo, substitute))
-    return new, {old: h.nid for old, h in memo.items()}
 
 
 def subgraph(g: TermGraph, nid: int) -> TermGraph:

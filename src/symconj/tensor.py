@@ -79,21 +79,7 @@ class EinsumSpec:
         return len(self.operand_subscripts)
 
 
-def _index_extents(spec: EinsumSpec, operands) -> dict[str, int]:
-    extents: dict[str, int] = {}
-    for pos, (subs, op) in enumerate(zip(spec.operand_subscripts, operands)):
-        if op.ndim != len(subs):
-            raise ContractionError(
-                f"operand {pos} has rank {op.ndim} but subscript "
-                f"{subs!r} expects rank {len(subs)}")
-        for idx, extent in zip(subs, op.shape):
-            if extents.setdefault(idx, extent) != extent:
-                raise ContractionError(
-                    f"index '{idx}' has conflicting extents "
-                    f"{extents[idx]} and {extent}")
-    return extents
-
-
+@functools.lru_cache(maxsize=4096)
 def einsum_output_shape(spec: EinsumSpec, operand_shapes) -> tuple[int, ...]:
     """Output shape of a contraction, validating ranks and extents."""
     if len(operand_shapes) != spec.operand_count:
@@ -139,22 +125,19 @@ def einsum(spec, operands) -> np.ndarray:
     """Evaluate a contraction per the nested-loop sum-of-products
     definition.
 
-    Ranks and extents are validated on every call. Multi-operand
-    contractions then run pairwise, left to right, so the cost stays
-    polynomial in the operand sizes; each step goes to ``np.einsum``
-    without path optimization. The steps depend only on the subscripts,
-    so they are computed once per formula and cached. ``np.einsum_path``
-    is not used: on the small operands of the derived updates, numpy's
-    path planning and execution cost more than the contraction itself.
+    Ranks and extents are validated on every call, by a check cached per
+    formula and operand shapes. Multi-operand contractions then run
+    pairwise, left to right, so the cost stays polynomial in the operand
+    sizes; each step goes to ``np.einsum`` without path optimization. The
+    steps depend only on the subscripts, so they are computed once per
+    formula and cached. ``np.einsum_path`` is not used: on the small
+    operands of the derived updates, numpy's path planning and execution
+    cost more than the contraction itself.
     """
     if isinstance(spec, str):
         spec = EinsumSpec(spec)
     ops = [as_tensor(x) for x in operands]
-    if len(ops) != spec.operand_count:
-        raise ContractionError(
-            f"formula {spec.formula!r} expects {spec.operand_count} operands, "
-            f"got {len(ops)}")
-    _index_extents(spec, ops)
+    einsum_output_shape(spec, tuple([op.shape for op in ops]))
     steps = _pairwise_steps(spec)
     if len(steps) == 1:
         return np.einsum(steps[0], *ops, optimize=False)

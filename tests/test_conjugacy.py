@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from symconj import graph as G
-from symconj.canonicalize import canonicalize
+from symconj.canonicalize import canonicalize, normalize_graph
 from symconj.conjugacy import (
     complete_conditional, extract_natural_parameters,
     find_sufficient_statistics, marginalize, multilinear_repr,
@@ -27,16 +27,21 @@ def bb_graph():
 BB_REST = dict(n_heads=60.0, n_draws=100.0, prior_a=0.5, prior_b=0.5)
 
 
+def stat_inputs(stats):
+    """Descriptor -> name of the energy input standing for the statistic."""
+    return {d: f"_stat_{stats.var}_{d}" for d in stats.graphs}
+
+
 class TestDiscovery:
     def test_beta_bernoulli_atoms(self):
         cf = canonicalize(bb_graph())
-        stats, work, _ = find_sufficient_statistics(cf, "prob")
+        stats, energy = find_sufficient_statistics(cf, "prob")
         assert stats.descriptors == {"log", "log1p_neg"}
         assert not stats.residual
 
     def test_gmm_tau_atoms(self):
         cf = canonicalize(fixture("gmm").graph())
-        stats, work, _ = find_sufficient_statistics(cf, "tau")
+        stats, energy = find_sufficient_statistics(cf, "tau")
         assert stats.descriptors == {"identity", "log"}
 
     def test_quadratic_form_becomes_outer_statistic(self):
@@ -44,24 +49,23 @@ class TestDiscovery:
             return G.einsum("i,ij,j->", z, Q, z)
         g = G.build(model, [("z", (3,)), ("Q", (3, 3))])
         cf = canonicalize(g)
-        stats, work, _ = find_sufficient_statistics(cf, "z")
+        stats, energy = find_sufficient_statistics(cf, "z")
         assert stats.descriptors == {"outer"}
-        # the rewritten monomial computes <Q, z z^T>
+        # the statistic graph computes z z^T, and the energy <Q, z z^T>
         rng = np.random.default_rng(0)
         env = dict(z=rng.standard_normal(3), Q=rng.standard_normal((3, 3)))
+        outer = G.evaluate(stats.graphs["outer"], env)
+        assert np.abs(outer - np.outer(env["z"], env["z"])).max() < 1e-12
         want = env["z"] @ env["Q"] @ env["z"]
-        assert abs(G.evaluate(work, env) - want) < 1e-12
-        (nid, desc), = stats.atoms
-        sub = G.subgraph(work, nid)
-        assert np.abs(G.evaluate(sub, env)
-                      - np.outer(env["z"], env["z"])).max() < 1e-12
+        got = G.evaluate(energy, dict(env, _stat_z_outer=outer))
+        assert abs(got - want) < 1e-12
 
     def test_elementwise_square_statistic(self):
         def model(z, c):
             return G.einsum("i,i,i->", c, z, z)
         g = G.build(model, [("z", (4,)), ("c", (4,))])
         cf = canonicalize(g)
-        stats, work, _ = find_sufficient_statistics(cf, "z")
+        stats, energy = find_sufficient_statistics(cf, "z")
         assert stats.descriptors == {"square"}
 
     def test_log_one_minus_written_without_log1p(self):
@@ -69,7 +73,7 @@ class TestDiscovery:
             return b * G.log(1.0 - z)
         g = G.build(model, [("z", (), "UNIT_INTERVAL"), ("b", ())])
         cf = canonicalize(g)
-        stats, _, _ = find_sufficient_statistics(cf, "z")
+        stats, _ = find_sufficient_statistics(cf, "z")
         assert stats.descriptors == {"log1p_neg"}
 
     def test_entangled_atom_is_residual(self):
@@ -77,7 +81,7 @@ class TestDiscovery:
             return G.log(z1 + z2)
         g = G.build(model, [("z1", ()), ("z2", ())])
         cf = canonicalize(g)
-        stats, _, _ = find_sufficient_statistics(cf, "z1")
+        stats, _ = find_sufficient_statistics(cf, "z1")
         assert stats.residual
 
     def test_cube_is_unknown_family(self):
@@ -99,10 +103,8 @@ class TestExtraction:
         g = G.build(lambda c, t: G.einsum("i,i->", c, t),
                     [("c", (3,)), ("t", (3,), "REAL")])
         cf = canonicalize(g)
-        stats, work, _ = find_sufficient_statistics(cf, "t")
-        from symconj.conjugacy import _replace_stats_with_inputs
-        gtilde, names = _replace_stats_with_inputs(work, [stats])
-        etas = extract_natural_parameters(gtilde, names["t"], "t")
+        stats, energy = find_sufficient_statistics(cf, "t")
+        etas = extract_natural_parameters(energy, stat_inputs(stats), "t")
         out = G.evaluate(etas["identity"], {"c": [1.0, 2.0, 3.0]})
         assert np.array_equal(out, [1, 2, 3])
 
@@ -122,10 +124,8 @@ class TestExtraction:
                    c2=rng.standard_normal(3), c3=rng.standard_normal())
         for var in ("t", "u", "v"):
             cf = canonicalize(g)
-            stats, work, _ = find_sufficient_statistics(cf, var)
-            from symconj.conjugacy import _replace_stats_with_inputs
-            gtilde, names = _replace_stats_with_inputs(work, [stats])
-            etas = extract_natural_parameters(gtilde, names[var], var)
+            stats, energy = find_sufficient_statistics(cf, var)
+            etas = extract_natural_parameters(energy, stat_inputs(stats), var)
             eta = G.evaluate(etas["identity"], env)
             fd = central_diff(
                 lambda x: float(G.evaluate(g, dict(env, **{var: x}))),
@@ -136,7 +136,7 @@ class TestExtraction:
         def model(z, c):
             return c * z * G.log(z)
         g = G.build(model, [("z", (), "NONNEGATIVE"), ("c", ())])
-        with pytest.raises(NonMultiaffineError):
+        with pytest.raises(NonMultiaffineError, match="identity and log"):
             complete_conditional(g, 0, SupportType.NONNEGATIVE)
 
 
@@ -486,3 +486,32 @@ class TestEtaGraphConstants:
                                  supports=[s for _, s in fx.latents])
         etas += [s.eta_graph for blk in mrepr.blocks for s in blk.stats]
         assert etas and not any(_holds_identity(eg) for eg in etas)
+
+
+class TestGradientOracle:
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_eta_graphs_equal_energy_gradients(self, name):
+        # each eta graph read off the monomials equals the symbolic
+        # gradient of the energy at its statistic input, both for the
+        # one-latent analysis behind complete_conditional and the joint one
+        fx = fixture(name)
+        g = fx.graph()
+        analyses = [multilinear_repr(g, [a], [s]) for a, s in fx.latents]
+        analyses.append(multilinear_repr(
+            g, [a for a, _ in fx.latents], [s for _, s in fx.latents]))
+        for mr in analyses:
+            energy = mr.neg_energy
+            for blk in mr.blocks:
+                for s in blk.stats:
+                    oracle = normalize_graph(
+                        G.grad(energy, energy.input_id(s.input_name)))
+                    for seed in range(3):
+                        args = fx.example_args(seed)
+                        env = mr.energy_env(
+                            {b.name: b.statistic_values(args[b.name])
+                             for b in mr.blocks}, args)
+                        got = np.asarray(G.evaluate(s.eta_graph, env))
+                        want = np.asarray(G.evaluate(oracle, env))
+                        scale = max(1.0, float(np.abs(want).max()))
+                        assert np.abs(got - want).max() <= 1e-12 * scale, (
+                            name, blk.name, s.descriptor, seed)

@@ -1,9 +1,12 @@
 """Pinned structure of every derived graph of the bundled fixtures.
 
-``data/derived_digests.json`` holds the sha256 of ``G.dump`` of each
-fixture's canonical graph and, for the reference models, of each
-complete-conditional eta graph, each marginal, and each multilinear
-energy, statistic and eta graph. A change that alters derived forms on
+``data/derived_digests.json`` holds, for each fixture's canonical graph
+and, for the reference models, each complete-conditional eta graph, each
+marginal, and each multilinear energy, statistic and eta graph: the
+sha256 of ``G.dump`` (``dump``), the structural hash of the output node
+(``root``) and the input names in order (``inputs``). The test pins the
+dump sha; on a mismatch it reports which changed graphs kept their
+structure and were only renumbered. A change that alters derived forms on
 purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_derived_digests.py
@@ -24,31 +27,33 @@ from symconj.models import fixtures
 DATA = os.path.join(os.path.dirname(__file__), "data", "derived_digests.json")
 
 
-def _sha(g):
-    return hashlib.sha256(G.dump(g).encode()).hexdigest()
+def _record(g):
+    return {"dump": hashlib.sha256(G.dump(g).encode()).hexdigest(),
+            "root": g.structural_hashes()[g.output].hex(),
+            "inputs": list(g.input_names)}
 
 
 def derived_digests():
     out = {}
     for fx in fixtures():
         g = fx.graph()
-        out[f"{fx.name}/canonical"] = _sha(canonicalize(g).graph)
+        out[f"{fx.name}/canonical"] = _record(canonicalize(g).graph)
         for argnum, support in fx.latents:
             var = g.input_names[argnum]
             cc = complete_conditional(g, argnum, support)
             for desc, eg in sorted(cc.eta_graphs.items()):
-                out[f"{fx.name}/conditional/{var}/{desc}"] = _sha(eg)
-            out[f"{fx.name}/marginal/{var}"] = _sha(
+                out[f"{fx.name}/conditional/{var}/{desc}"] = _record(eg)
+            out[f"{fx.name}/marginal/{var}"] = _record(
                 marginalize(g, argnum, support))
         if fx.latents:
             mr = multilinear_repr(g, argnums=[a for a, _ in fx.latents],
                                   supports=[s for _, s in fx.latents])
-            out[f"{fx.name}/multilinear/energy"] = _sha(mr.neg_energy)
+            out[f"{fx.name}/multilinear/energy"] = _record(mr.neg_energy)
             for blk in mr.blocks:
                 for s in blk.stats:
                     key = f"{fx.name}/multilinear/{blk.name}/{s.descriptor}"
-                    out[key + "/stat"] = _sha(s.stat_graph)
-                    out[key + "/eta"] = _sha(s.eta_graph)
+                    out[key + "/stat"] = _record(s.stat_graph)
+                    out[key + "/eta"] = _record(s.eta_graph)
     return out
 
 
@@ -57,8 +62,14 @@ def test_derived_graphs_match_pinned_digests():
         want = json.load(f)
     got = derived_digests()
     assert sorted(got) == sorted(want)
-    changed = [k for k in want if got[k] != want[k]]
-    assert not changed, f"derived graphs changed: {changed}"
+    changed = [k for k in want if got[k]["dump"] != want[k]["dump"]]
+    renumbered = [k if got[k]["inputs"] == want[k]["inputs"]
+                  else k + " (inputs changed)" for k in changed
+                  if got[k]["root"] == want[k]["root"]]
+    restructured = [k for k in changed if got[k]["root"] != want[k]["root"]]
+    assert not changed, (
+        f"derived graphs changed; same structure, renumbered: {renumbered}; "
+        f"structure changed: {restructured}")
 
 
 if __name__ == "__main__":
