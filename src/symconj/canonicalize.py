@@ -23,8 +23,7 @@ argument being a constant, an input, or a non-polynomial node (an atom).
 Nonlinear atoms are never rewritten away: they are the candidate
 sufficient statistics. There is no termination proof; a rewrite budget
 bounds the rule firings and expansion steps of one normalize_graph call,
-and an optional progress check asserts that a termination measure never
-increases.
+and revisiting an earlier graph state stops the loop as a livelock.
 
 The log-splitting rules (log of a product/quotient/root) assume positive
 factors, which is the standing convention for the scale and probability
@@ -760,55 +759,10 @@ def index_monomials(g: TermGraph):
 
 
 # ---------------------------------------------------------------------------
-# termination measure and driver
-
-
-def progress_measure(g: TermGraph) -> int:
-    """Nonnegative measure zero exactly on canonical graphs: distinct
-    polynomial primitives remaining, distinct add nodes sitting below
-    einsum nodes (pending distribution, as node sets so sharing does not
-    inflate the count), and logs whose argument a log rule can still
-    split."""
-    below: list[frozenset] = []
-    for node in g.nodes:
-        if isinstance(node, PrimNode):
-            here = set()
-            for a in node.args:
-                here |= below[a]
-                here.add(a)
-            below.append(frozenset(here))
-        else:
-            below.append(frozenset())
-    reach = g.reachable()
-    adds_union: set = set()
-    log_redexes = 0
-    poly = 0
-    for i, node in enumerate(g.nodes):
-        if not reach[i] or not isinstance(node, PrimNode):
-            continue
-        if node.op in POLY_OPS:
-            poly += 1
-        if node.op == "einsum":
-            for a in below[i]:
-                an = g.nodes[a]
-                if isinstance(an, PrimNode) and an.op in ("add", "subtract"):
-                    adds_union.add(a)
-        if node.op == "log":
-            arg = g.nodes[node.args[0]]
-            if isinstance(arg, PrimNode):
-                if arg.op in ("reciprocal", "sqrt"):
-                    log_redexes += 1
-                elif arg.op == "power" and isinstance(
-                        g.nodes[arg.args[1]], ConstNode):
-                    log_redexes += 1
-                elif (arg.op == "einsum"
-                      and _is_splittable_product(arg.attrs[0])):
-                    log_redexes += 1
-    return poly + len(adds_union) + log_redexes
+# driver
 
 
 def canonicalize(g: TermGraph, max_rules: int = 10000,
-                 check_progress: bool = False,
                  firing_log: list | None = None) -> CanonicalForm:
     """Drive the alternating rewrite strategy to its canonical fixed point.
 
@@ -818,8 +772,7 @@ def canonicalize(g: TermGraph, max_rules: int = 10000,
     """
     if g.shapes[g.output] != ():
         raise CanonicalizationError("canonicalize requires a scalar output")
-    g = normalize_graph(g, max_rules=max_rules, check_progress=check_progress,
-                        firing_log=firing_log)
+    g = normalize_graph(g, max_rules=max_rules, firing_log=firing_log)
     if not is_canonical(g):
         raise CanonicalizationError(
             "rewriting reached a fixed point that is not canonical")
@@ -828,7 +781,6 @@ def canonicalize(g: TermGraph, max_rules: int = 10000,
 
 
 def normalize_graph(g: TermGraph, max_rules: int = 10000,
-                    check_progress: bool = False,
                     firing_log: list | None = None) -> TermGraph:
     """The rewrite loop without the scalar-output requirement; used
     internally on tensor-valued subgraphs (e.g. natural-parameter graphs).
@@ -837,8 +789,6 @@ def normalize_graph(g: TermGraph, max_rules: int = 10000,
     budget = _Budget(max_rules)
     g = local_simplify(g, budget)
     fired: list[str] = []
-    measure = progress_measure(g) if check_progress else None
-    window: list[int] = []
     seen_states = {g.structural_hashes()[g.output]}
     misses = {rule.name: set() for rule in REGISTRY}
     while True:
@@ -860,17 +810,6 @@ def normalize_graph(g: TermGraph, max_rules: int = 10000,
                 "rewriting revisited a previous graph state",
                 recent_rules=budget.recent)
         seen_states.add(digest)
-        if check_progress:
-            new_measure = progress_measure(g)
-            if new_measure > measure:
-                raise CanonicalizationError(
-                    f"termination measure increased {measure} -> "
-                    f"{new_measure} after {fired[-1]}")
-            window.append(new_measure)
-            if len(window) >= 50 and window[-50] <= new_measure:
-                raise CanonicalizationError(
-                    "termination measure stalled over 50 consecutive firings")
-            measure = new_measure
     if firing_log is not None:
         firing_log.extend(fired)
     return g

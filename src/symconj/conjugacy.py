@@ -30,6 +30,10 @@ eta graphs) per target. The three user-facing transforms are views of it:
 * :func:`marginalize` rebuilds the log density with the target integrated
   out, as g0 + A(eta) where g0 sums the energy monomials that hold none
   of the block's statistics, and re-canonicalizes so transforms compose.
+
+Both hand the family one parameter per discovered statistic, as is; the
+family pads and folds them (see :mod:`expfam`). Atoms matching no
+statistic shape are named as rendered expressions.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ __all__ = [
 class StatisticSet:
     """Discovered statistics of one variable: descriptor -> statistic graph
     (a graph over the variable computing it), the identity first, plus the
-    canonical-graph ids of atoms that depend on the variable but match no
-    known statistic shape."""
+    rendered expressions (:func:`graph.render`) of atoms that depend on the
+    variable but match no known statistic shape."""
     var: str
     graphs: dict
     residual: tuple = ()
@@ -212,7 +216,8 @@ def find_sufficient_statistics(g, var):
     # the identity statistic first, the others in order of discovery
     order = sorted(stats, key=lambda d: d != "identity")
     graphs = {d: stats[d] for d in order}
-    return StatisticSet(var, graphs, tuple(sorted(residual))), gb.finish(acc)
+    residual = tuple(G.render(g, a) for a in sorted(residual))
+    return StatisticSet(var, graphs, residual), gb.finish(acc)
 
 
 def _stat_input_name(var, desc):
@@ -309,9 +314,9 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
         stats, energy = find_sufficient_statistics(energy, var)
         if stats.residual:
             raise UnknownFamilyError(
-                f"variable {var!r} appears inside unrecognized atoms; "
-                f"discovered statistics {sorted(stats.descriptors)}",
-                atoms=stats.residual)
+                f"variable {var!r} appears inside unrecognized atoms "
+                f"{list(stats.residual)}; discovered statistics "
+                f"{sorted(stats.descriptors)}", atoms=stats.residual)
         found.append((stats, BUILTIN.lookup(support, stats.descriptors)))
 
     blocks = []
@@ -329,25 +334,6 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
     args = tuple(n for n in names if n not in latents)
     return MultilinearRepr(neg_energy=energy, blocks=tuple(blocks),
                            arg_names=args)
-
-
-def assemble_nat(family, values: dict):
-    """Combine per-descriptor natural parameter values into the family's
-    convention (multivariate normal folds elementwise square terms into
-    the diagonal of the matrix parameter and symmetrizes it)."""
-    if family.name == "MultivariateNormal":
-        e2 = values["outer"]
-        e2 = 0.5 * (e2 + np.swapaxes(e2, -1, -2))
-        if "square" in values:
-            d = e2.shape[-1]
-            e2 = e2 + values["square"][..., None] * np.eye(d)
-        nat = {"outer": e2}
-        if "identity" in values:
-            nat["identity"] = values["identity"]
-        else:
-            nat["identity"] = np.zeros(e2.shape[:-1])
-        return nat
-    return dict(values)
 
 
 @dataclass
@@ -414,38 +400,11 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
           for m in index_monomials(g)[0] if not held[m.root]]
     eta_handles = {s.descriptor: G.import_graph(gb, s.eta_graph, handles)
                    for s in blk.stats}
-    eta_handles = _combine_eta_handles(blk.family, gb, eta_handles)
     out = blk.family.lognorm_graph(gb, eta_handles)
     for h in g0:
         out = gb.prim("add", (h, out))
     marginal = gb.finish(out, scalar=True)
     return canonicalize(marginal).graph
-
-
-def _combine_eta_handles(family, gb, etas):
-    """Graph-mode counterpart of :func:`assemble_nat`: fold square terms
-    into the matrix parameter for the multivariate normal and zero-pad
-    missing same-shape statistics elsewhere."""
-    if family.name == "MultivariateNormal":
-        e2 = etas["outer"]
-        if "square" in etas:
-            sq = etas["square"]
-            d = e2.shape[-1]
-            batch = G.INDEX_ALPHABET[:len(e2.shape) - 2]
-            f = (f"{batch}i,ij->{batch}ij" if batch else "i,ij->ij")
-            diag = gb.prim("einsum", (sq, gb.constant(np.eye(d))), (f,))
-            e2 = gb.prim("add", (e2, diag))
-        out = {"outer": e2}
-        if "identity" in etas:
-            out["identity"] = etas["identity"]
-        return out
-    missing = family.signature - set(etas)
-    if missing:
-        shape = next(iter(etas.values())).shape
-        for d in missing:
-            etas = dict(etas)
-            etas[d] = gb.constant(np.zeros(shape))
-    return etas
 
 
 @dataclass(frozen=True)
@@ -474,7 +433,7 @@ class LatentBlock:
         evaluated from its eta graphs in ``env``."""
         values = {s.descriptor: G.evaluate(s.eta_graph, env)
                   for s in self.stats}
-        return Distribution(self.family, assemble_nat(self.family, values))
+        return Distribution(self.family, values)
 
     @property
     def descriptors(self):

@@ -59,7 +59,9 @@ class ConjugacyError(SymconjError):
 
 
 class UnknownFamilyError(ConjugacyError):
-    """Discovered sufficient statistics match no registered family."""
+    """Discovered sufficient statistics match no registered family.
+    ``atoms`` names the offenders: the rendered atoms no statistic shape
+    matched, or the statistic descriptors no family accepts."""
 
     def __init__(self, message, atoms=()):
         super().__init__(message)

@@ -17,6 +17,12 @@ Conventions (natural parameters pair with the statistics named):
 * Multivariate normal over ``(z, z z^T)`` with eta = (Sigma^-1 mu,
   -1/2 Sigma^-1); the square statistic folds into the diagonal of eta2.
 
+A model may omit statistics of its family (their natural parameter is 0).
+Only the family turns a model's per-statistic parameters into its own
+convention: :meth:`FamilySpec.pad_nat` for values and
+:meth:`FamilySpec.pad_handles` for graphs zero-fill and fold, and the mean
+map reports every statistic the family accepts.
+
 Elementwise families treat every element of a tensor-shaped variable as
 one batched distribution with independent components. Samplers are
 implemented from seeded uniform/normal draws only (Marsaglia-Tsang for
@@ -119,6 +125,11 @@ class FamilySpec:
     support: SupportType
     signature: frozenset
 
+    @property
+    def accepts(self) -> frozenset:
+        """Statistics a model may hold; any subset matches the family."""
+        return self.signature
+
     # -- assembling natural parameters -------------------------------------
 
     def pad_nat(self, nat: dict) -> dict:
@@ -128,11 +139,14 @@ class FamilySpec:
         shape = self.batch_shape(nat)
         for d in self.signature:
             if d not in nat:
-                nat[d] = np.zeros(self.param_shape(d, shape))
+                nat[d] = np.zeros(shape)
         return nat
 
-    def param_shape(self, descriptor, batch_shape):
-        return batch_shape
+    def pad_handles(self, gb, etas: dict) -> dict:
+        """Like :meth:`pad_nat`, with zero constants in a graph."""
+        shape = next(iter(etas.values())).shape
+        return {d: etas[d] if d in etas else gb.constant(np.zeros(shape))
+                for d in self.signature}
 
     def check_domain(self, nat: dict) -> None:
         raise NotImplementedError
@@ -182,8 +196,8 @@ class FamilySpec:
     # -- graph-mode log-normalizer (for marginalization) --------------------
 
     def lognorm_graph(self, gb, etas: dict) -> "G.ExprHandle":
-        """Build a graph computing the total A (summed over the batch) from
-        handles for the discovered natural-parameter graphs."""
+        """Graph computing the total A (summed over the batch) from handles
+        for the discovered natural-parameter graphs; pads them first."""
         raise NotImplementedError
 
     def describe(self, nat: dict) -> str:
@@ -337,6 +351,7 @@ class BetaFamily(FamilySpec):
                 "log1p_neg": np.asarray(b, dtype=np.float64) - 1.0}
 
     def lognorm_graph(self, gb, etas):
+        etas = self.pad_handles(gb, etas)
         one = gb.constant(1.0)
         a = gb.prim("add", (etas["log"], one))
         b = gb.prim("add", (etas["log1p_neg"], one))
@@ -387,12 +402,8 @@ class GammaFamily(FamilySpec):
                 "log": np.asarray(shape, dtype=np.float64) - 1.0}
 
     def lognorm_graph(self, gb, etas):
-        shape = etas["identity"].shape
-        one = gb.constant(1.0)
-        if "log" in etas:
-            a = gb.prim("add", (etas["log"], one))
-        else:
-            a = gb.constant(np.ones(shape))
+        etas = self.pad_handles(gb, etas)
+        a = gb.prim("add", (etas["log"], gb.constant(1.0)))
         b = gb.prim("negate", (etas["identity"],))
         term = gb.prim("subtract", (gb.prim("log_gamma", (a,)),
                                     gb.prim("multiply", (a, gb.prim("log", (b,))))))
@@ -494,12 +505,9 @@ class NormalFamily(FamilySpec):
         return {"identity": mean / (sd * sd), "square": -0.5 / (sd * sd)}
 
     def lognorm_graph(self, gb, etas):
-        e2 = etas["square"]
+        etas = self.pad_handles(gb, etas)
+        e1, e2 = etas["identity"], etas["square"]
         shape = e2.shape
-        if "identity" in etas:
-            e1 = etas["identity"]
-        else:
-            e1 = gb.constant(np.zeros(shape))
         quarter = gb.constant(-0.25)
         quad = gb.prim("multiply", (gb.prim("multiply", (e1, e1)),
                                     gb.prim("reciprocal", (e2,))))
@@ -515,15 +523,40 @@ class NormalFamily(FamilySpec):
 
 class MultivariateNormalFamily(FamilySpec):
     """Multivariate normal over rows, t(z) = (z, z z^T); leading axes of
-    eta1 are batch axes. The elementwise square statistic folds into the
-    diagonal of the matrix parameter before any check or closed form."""
+    eta1 are batch axes. A model may also hold the elementwise square
+    statistic z^2 = diag(z z^T): its parameter folds into the diagonal of
+    the matrix parameter before any check or closed form, and the mean map
+    reports its mean as the diagonal of E[z z^T]."""
 
     name = "MultivariateNormal"
     support = SupportType.REAL
     signature = frozenset({"identity", "outer"})
+    accepts = frozenset({"identity", "square", "outer"})
 
     def batch_shape(self, nat):
         return nat["outer"].shape[:-2]
+
+    def pad_nat(self, nat):
+        """Symmetrize the matrix parameter, fold the square parameter into
+        its diagonal, and zero-fill an omitted identity parameter."""
+        e2 = nat["outer"]
+        e2 = 0.5 * (e2 + np.swapaxes(e2, -1, -2))
+        if "square" in nat:
+            e2 = e2 + nat["square"][..., None] * np.eye(e2.shape[-1])
+        e1 = nat["identity"] if "identity" in nat else np.zeros(e2.shape[:-1])
+        return {"outer": e2, "identity": e1}
+
+    def pad_handles(self, gb, etas):
+        e2 = etas["outer"]
+        if "square" in etas:
+            batch = INDEX_ALPHABET[:len(e2.shape) - 2]
+            eye = gb.constant(np.eye(e2.shape[-1]))
+            diag = gb.prim("einsum", (etas["square"], eye),
+                           (f"{batch}i,ij->{batch}ij",))
+            e2 = gb.prim("add", (e2, diag))
+        e1 = (etas["identity"] if "identity" in etas
+              else gb.constant(np.zeros(e2.shape[:-1])))
+        return {"outer": e2, "identity": e1}
 
     def _lam(self, nat):
         e2 = nat["outer"]
@@ -557,8 +590,9 @@ class MultivariateNormalFamily(FamilySpec):
         e1 = nat["identity"]
         cov = np.linalg.inv(lam)
         m = np.einsum("...ij,...j->...i", cov, e1)
-        return {"identity": m,
-                "outer": cov + np.einsum("...i,...j->...ij", m, m)}
+        outer = cov + np.einsum("...i,...j->...ij", m, m)
+        return {"identity": m, "outer": outer,
+                "square": np.diagonal(outer, axis1=-2, axis2=-1).copy()}
 
     def sample(self, nat, rng):
         std = self.to_standard(nat)
@@ -596,13 +630,10 @@ class MultivariateNormalFamily(FamilySpec):
     def lognorm_graph(self, gb, etas):
         from .canonicalize import split_common_scalar_factor
 
-        e2 = etas["outer"]
+        etas = self.pad_handles(gb, etas)
+        e1, e2 = etas["identity"], etas["outer"]
         batch = INDEX_ALPHABET[:len(e2.shape) - 2]
         d = e2.shape[-1]
-        if "identity" in etas:
-            e1 = etas["identity"]
-        else:
-            e1 = gb.constant(np.zeros(e2.shape[:-1]))
 
         # Factor any scalar common to all monomials of eta2 out of the
         # inverse and the log-determinant so that precision-style scalars
@@ -645,25 +676,18 @@ class FamilyRegistry:
 
     def lookup(self, support: SupportType, descriptors) -> FamilySpec:
         """Match a discovered statistic signature against the table: exact
-        signature equality first, then subset matching (missing statistics
-        take natural parameter zero). An outer statistic on REAL support
-        selects the multivariate normal, with square statistics folded into
-        the matrix parameter's diagonal."""
+        signature equality first, then the first family in registration
+        order that accepts every discovered statistic (missing statistics
+        take natural parameter zero)."""
         descriptors = frozenset(descriptors)
         if not descriptors:
             raise UnknownFamilyError(
                 f"no sufficient statistics discovered on {support.value}")
-        if support == SupportType.REAL and "outer" in descriptors:
-            if descriptors <= {"identity", "square", "outer"}:
-                return self.families["MultivariateNormal"]
-            raise UnknownFamilyError(
-                f"statistics {sorted(descriptors)} on REAL match no family",
-                atoms=sorted(descriptors))
         for fam in self.families.values():
             if fam.support == support and descriptors == fam.signature:
                 return fam
         for fam in self.families.values():
-            if fam.support == support and descriptors < fam.signature:
+            if fam.support == support and descriptors <= fam.accepts:
                 return fam
         raise UnknownFamilyError(
             f"statistics {sorted(descriptors)} on {support.value} match no "
@@ -687,8 +711,9 @@ BUILTIN = register_builtin_families()
 
 @dataclass(frozen=True)
 class Distribution:
-    """A concrete member: family plus natural parameters (validated and
-    zero-padded at construction)."""
+    """A concrete member: family plus natural parameters, put in the
+    family's convention by :meth:`FamilySpec.pad_nat` and validated at
+    construction."""
 
     family: FamilySpec
     nat: dict

@@ -13,7 +13,8 @@ discovery, natural-parameter extraction) goes through one traversal,
 other handles. The einsum vector-Jacobian product behind :func:`grad` also
 reads natural parameters off the canonical monomials. Text and DOT
 serializations are produced by :func:`dump`; the text form parses back
-with :func:`parse`.
+with :func:`parse`. :func:`render` writes one node's expression on one
+line, for error messages.
 
 Node argument lists always reference earlier nodes, so the node table is
 its own topological order and acyclicity holds by construction. All
@@ -36,7 +37,7 @@ from .tensor import INDEX_ALPHABET, EinsumSpec, as_tensor
 __all__ = [
     "TermGraph", "GraphBuilder", "ExprHandle", "build", "evaluate", "cse",
     "grad", "splice", "dump", "parse", "subgraph", "import_graph",
-    "rebuild", "graph_equal",
+    "rebuild", "graph_equal", "render",
 ]
 
 # Ops whose second constructor argument is a static attribute tuple:
@@ -907,6 +908,19 @@ def dump(g: TermGraph, format: str = "text") -> str:
     if format == "dot":
         return _dump_dot(g)
     raise GraphError(f"unknown dump format {format!r}")
+
+
+def render(g: TermGraph, nid: int) -> str:
+    """The expression computed at node ``nid`` as one line: inputs by
+    name, scalar constants by value, primitives as ``op(args)``."""
+    node = g.nodes[nid]
+    if isinstance(node, InputNode):
+        return node.name
+    if isinstance(node, ConstNode):
+        v = node.value
+        return format(float(v), "g") if v.shape == () else (
+            f"const{_shape_token(v.shape)}")
+    return f"{node.op}({', '.join(render(g, a) for a in node.args)})"
 
 
 def _labels(g):

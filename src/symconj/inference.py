@@ -19,7 +19,7 @@ import numpy as np
 
 from . import graph as G
 from .conjugacy import MultilinearRepr, complete_conditional
-from .errors import ConjugacyError, NaturalDomainError
+from .errors import NaturalDomainError
 
 __all__ = [
     "GibbsState", "MeanFieldState", "make_gibbs", "gibbs_sweep", "run_gibbs",
@@ -98,23 +98,6 @@ class MeanFieldState:
     iteration: int = 0
 
 
-def _stat_means(block, dist):
-    """Mean parameters keyed by the block's discovered descriptors; the
-    elementwise square statistic of a multivariate normal block is the
-    diagonal of the expected outer product."""
-    m = dist.mean_params()
-    out = {}
-    for desc in block.descriptors:
-        if desc in m:
-            out[desc] = m[desc]
-        elif desc == "square" and "outer" in m:
-            out[desc] = np.diagonal(m["outer"], axis1=-2, axis2=-1).copy()
-        else:
-            raise ConjugacyError(
-                f"no mean parameter for statistic {desc!r} of {block.name!r}")
-    return out
-
-
 def init_meanfield(mrepr: MultilinearRepr, data, init_values=None
                    ) -> MeanFieldState:
     """Natural parameters from one gradient evaluation at the statistics
@@ -133,7 +116,7 @@ def init_meanfield(mrepr: MultilinearRepr, data, init_values=None
         others = {v: t for v, t in seed_stats.items() if v != blk.name}
         dist = blk.distribution(mrepr.energy_env(others, data))
         nat[blk.name] = dist.nat
-        means[blk.name] = _stat_means(blk, dist)
+        means[blk.name] = dist.mean_params()
     return MeanFieldState(mrepr=mrepr, data=dict(data), nat=nat, means=means)
 
 
@@ -149,7 +132,7 @@ def cavi_update(state: MeanFieldState, var: str) -> MeanFieldState:
         raise NaturalDomainError(
             f"update for {var!r} left the natural domain: {exc}") from exc
     return replace(state, nat={**state.nat, var: dist.nat},
-                   means={**state.means, var: _stat_means(blk, dist)},
+                   means={**state.means, var: dist.mean_params()},
                    iteration=state.iteration + 1)
 
 
@@ -158,13 +141,10 @@ def elbo(state: MeanFieldState) -> float:
     env = state.mrepr.energy_env(state.means, state.data)
     total = float(G.evaluate(state.mrepr.neg_energy, env))
     for blk in state.mrepr.blocks:
-        nat = state.nat[blk.name]  # zero-padded by Distribution
+        nat = state.nat[blk.name]
         a = blk.family.log_normalizer(nat)
         total += float(np.sum(a))
-        means = state.means[blk.name]
-        if any(d not in means for d in nat):  # statistics the model omits
-            means = {**blk.family.mean_params(nat), **means}
-        dot = blk.family.dot_nat_stats(nat, means)
+        dot = blk.family.dot_nat_stats(nat, state.means[blk.name])
         total -= float(np.sum(dot))
     return total
 

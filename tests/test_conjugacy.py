@@ -220,6 +220,39 @@ class TestCompleteConditional:
                 assert abs(float(d.log_prob(float(k))) - want) < 1e-10
 
 
+def _spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T + np.eye(d)
+
+
+# models holding a strict subset of their family's statistics (a missing
+# statistic has natural parameter 0): family, model, inputs, support, draw
+OMITTED = {
+    "beta_log_only": (
+        "Beta",
+        lambda z, a: (a - 1.0) * G.log(z),
+        [("z", ()), ("a", ())], SupportType.UNIT_INTERVAL,
+        lambda rng: dict(z=rng.uniform(0.05, 0.95), a=rng.uniform(0.5, 4))),
+    "gamma_identity_only": (
+        "Gamma",
+        lambda z, b: -b * z,
+        [("z", ()), ("b", ())], SupportType.NONNEGATIVE,
+        lambda rng: dict(z=rng.uniform(0.1, 3), b=rng.uniform(0.5, 3))),
+    "normal_square_only": (
+        "Normal",
+        lambda z, c: -0.5 * c * G.sum_all(G.square(z)),
+        [("z", (3,)), ("c", ())], SupportType.REAL,
+        lambda rng: dict(z=rng.standard_normal(3), c=rng.uniform(0.5, 3))),
+    "mvn_outer_and_square": (
+        "MultivariateNormal",
+        lambda z, q, c: (-0.5 * G.einsum("i,ij,j->", z, q, z)
+                         - 0.5 * G.einsum("i,i,i->", c, z, z)),
+        [("z", (3,)), ("q", (3, 3)), ("c", (3,))], SupportType.REAL,
+        lambda rng: dict(z=rng.standard_normal(3), q=_spd(rng, 3),
+                         c=rng.uniform(0.5, 3, 3))),
+}
+
+
 class TestMarginalize:
     def test_beta_marginal_matches_quadrature(self):
         g = bb_graph()
@@ -293,6 +326,22 @@ class TestMarginalize:
                          + float(np.sum(fac.from_env(rest).log_prob(args[var]))))
                 assert abs(total - full) <= 1e-8 * max(1.0, abs(full)), (
                     name, var, seed)
+
+    @pytest.mark.parametrize("name", sorted(OMITTED))
+    def test_chain_rule_with_omitted_statistics(self, name):
+        family, model, inputs, support, draw = OMITTED[name]
+        g = G.build(model, inputs)
+        marg = marginalize(g, 0, support)
+        fac = complete_conditional(g, 0, support)
+        assert fac.family.name == family
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            args = draw(rng)
+            full = float(G.evaluate(g, args))
+            rest = {k: v for k, v in args.items() if k != "z"}
+            total = (float(G.evaluate(marg, rest))
+                     + float(np.sum(fac.from_env(rest).log_prob(args["z"]))))
+            assert abs(total - full) <= 1e-12 * max(1.0, abs(full))
 
     def test_order_invariance_for_gaussian_chain(self):
         def model(z1, z2, y):
@@ -434,8 +483,10 @@ class TestSharedAnalysis:
 
         g = G.build(model, [("z", (), "REAL"), ("c", ())])
         with pytest.raises(UnknownFamilyError,
-                           match=r"discovered statistics \['square'\]"):
+                           match=r"discovered statistics \['square'\]") as e:
             TRANSFORMS[transform](g, 0, SupportType.REAL)
+        assert e.value.atoms == ("log1p(exp(einsum(c, z)))",)
+        assert "log1p(exp(einsum(c, z)))" in str(e.value)
 
     @pytest.mark.parametrize("transform, args", [
         (complete_conditional, (0, SupportType.NONNEGATIVE)),

@@ -42,6 +42,8 @@ class TestRegistry:
     def test_unknown_signature_errors(self):
         with pytest.raises(UnknownFamilyError):
             REG.lookup(E.SupportType.REAL, {"cube"})
+        with pytest.raises(UnknownFamilyError):
+            REG.lookup(E.SupportType.REAL, {"outer", "log"})
 
     def test_subset_matching(self):
         assert REG.lookup(E.SupportType.NONNEGATIVE, {"identity"}).name == "Gamma"
@@ -50,6 +52,8 @@ class TestRegistry:
     def test_outer_selects_mvn(self):
         fam = REG.lookup(E.SupportType.REAL, {"identity", "square", "outer"})
         assert fam.name == "MultivariateNormal"
+        assert REG.lookup(E.SupportType.REAL, {"square", "outer"}).name == (
+            "MultivariateNormal")
         assert REG.lookup(E.SupportType.REAL, {"identity", "square"}).name == "Normal"
 
     def test_all_seven_registered(self):
