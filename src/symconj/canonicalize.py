@@ -32,7 +32,7 @@ quantities log densities are built from.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -782,8 +782,8 @@ def canonicalize(g: TermGraph, max_rules: int = 10000,
 
 def normalize_graph(g: TermGraph, max_rules: int = 10000,
                     firing_log: list | None = None) -> TermGraph:
-    """The rewrite loop without the scalar-output requirement; used
-    internally on tensor-valued subgraphs (e.g. natural-parameter graphs).
+    """The rewrite loop behind :func:`canonicalize`, without its
+    scalar-output requirement, so it also takes tensor-valued graphs.
     ``max_rules`` bounds the rule firings plus expansion steps of all its
     sweeps; ``firing_log`` receives the log-rule firings."""
     budget = _Budget(max_rules)
@@ -813,82 +813,3 @@ def normalize_graph(g: TermGraph, max_rules: int = 10000,
     if firing_log is not None:
         firing_log.extend(fired)
     return g
-
-
-def split_common_scalar_factor(gb, h):
-    """Factor a scalar common to every monomial out of a tensor-valued
-    subexpression under construction.
-
-    Normalizes the subgraph below handle ``h``, intersects the non-constant
-    scalar einsum operands across its monomials (with multiplicity), and
-    when the intersection is nonempty returns ``(scalar, residual)``
-    handles with ``scalar * residual == h``; otherwise ``(None, h)``.
-    Used by Gaussian marginalization so that precision-like scalars stay
-    outside matrix inverses and determinants."""
-    snapshot = gb.finish(h)
-    sub = G.subgraph(snapshot, h.nid)
-    norm = normalize_graph(sub)
-    monos, _ = index_monomials(norm)
-    hashes = norm.structural_hashes()
-    per = []
-    for m in monos:
-        node = norm.nodes[m.root]
-        if not (isinstance(node, PrimNode) and node.op == "einsum"):
-            return None, h
-        cnt = Counter()
-        for a in node.args:
-            if norm.shapes[a] == () and not isinstance(norm.nodes[a], ConstNode):
-                cnt[hashes[a]] += 1
-        per.append((m, cnt))
-    if not per:
-        return None, h
-    common = per[0][1].copy()
-    for _, cnt in per[1:]:
-        common &= cnt
-    common = +common
-    if not common:
-        return None, h
-
-    memo = {i: gb.input_handle(norm.nodes[i].name) for i in norm.inputs}
-
-    reps = {}
-    first_root = per[0][0].root
-    for a in norm.nodes[first_root].args:
-        dgs = hashes[a]
-        if dgs in common and dgs not in reps:
-            reps[dgs] = a
-    factors = []
-    for dgs in sorted(common, key=lambda d: d.hex() if hasattr(d, "hex") else d):
-        factors.extend(
-            [G.rebuild(gb, norm, reps[dgs], memo)] * common[dgs])
-    scalar = factors[0]
-    for f in factors[1:]:
-        scalar = gb.prim("multiply", (scalar, f))
-
-    terms = []
-    for m, _cnt in per:
-        node = norm.nodes[m.root]
-        spec = espec(node.attrs[0])
-        remove = dict(common)
-        kept_ops, kept_subs = [], []
-        for subs, a in zip(spec.operand_subscripts, node.args):
-            dgs = hashes[a]
-            if (norm.shapes[a] == ()
-                    and not isinstance(norm.nodes[a], ConstNode)
-                    and remove.get(dgs, 0) > 0):
-                remove[dgs] -= 1
-                continue
-            kept_ops.append(G.rebuild(gb, norm, a, memo))
-            kept_subs.append(subs)
-        if not kept_ops:
-            kept_ops, kept_subs = [gb.constant(1.0)], [""]
-        if len(kept_ops) == 1 and kept_subs[0] == spec.output:
-            terms.append(kept_ops[0])
-        else:
-            terms.append(gb.prim(
-                "einsum", kept_ops,
-                (",".join(kept_subs) + "->" + spec.output,)))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = gb.prim("add", (acc, t))
-    return scalar, acc

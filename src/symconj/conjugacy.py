@@ -80,7 +80,11 @@ class StatisticSet:
 def _as_support(s) -> SupportType:
     if isinstance(s, SupportType):
         return s
-    return SupportType[str(s)]
+    try:
+        return SupportType[str(s)]
+    except KeyError:
+        raise ConjugacyError(f"unknown support {s!r}; the supports are "
+                             f"{[t.name for t in SupportType]}") from None
 
 
 def _is_scaled_var(g, nid, vid, scale):
@@ -296,14 +300,19 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
     statistics and match its family, then read each target's natural
     parameters off the energy's monomials."""
     names = log_joint.input_names
-    if len(argnums) != len(supports):
-        raise ConjugacyError("argnums and supports must align")
+    if ((np.ndim(argnums), np.ndim(supports)) != (1, 1)
+            or len(argnums) != len(supports)):
+        raise ConjugacyError(f"argnums and supports must be aligned "
+                             f"sequences, got {argnums!r} and {supports!r}")
+    for argnum in argnums:
+        if (not isinstance(argnum, (int, np.integer))
+                or isinstance(argnum, bool) or not 0 <= argnum < len(names)):
+            raise ConjugacyError(f"argnum {argnum!r} is not an integer or is "
+                                 f"out of range for the inputs {names}")
     if len(set(argnums)) != len(argnums):
         raise ConjugacyError(f"duplicate argnums {list(argnums)}")
     targets = []
     for argnum, support in zip(argnums, supports):
-        if not 0 <= argnum < len(names):
-            raise ConjugacyError(f"argnum {argnum} out of range for {names}")
         support = _as_support(support)
         _check_support_tag(log_joint, names[argnum], support)
         targets.append((names[argnum], support))

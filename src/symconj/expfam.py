@@ -19,9 +19,13 @@ Conventions (natural parameters pair with the statistics named):
 
 A model may omit statistics of its family (their natural parameter is 0).
 Only the family turns a model's per-statistic parameters into its own
-convention: :meth:`FamilySpec.pad_nat` for values and
-:meth:`FamilySpec.pad_handles` for graphs zero-fill and fold, and the mean
+convention: :meth:`FamilySpec.pad_nat` zero-fills and folds, and the mean
 map reports every statistic the family accepts.
+
+Each family writes A once, for arrays (the run phase) and graph handles
+(:meth:`FamilySpec.lognorm_graph`, for marginalization) alike: the
+argument's type picks the functions it calls (:func:`_fns`). Only the
+multivariate normal keeps a second, graph-only A.
 
 Elementwise families treat every element of a tensor-shaped variable as
 one batched distribution with independent components. Samplers are
@@ -33,12 +37,15 @@ inverse-CDF for Categorical).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special as sp
 
 from . import graph as G
+from .canonicalize import index_monomials, local_simplify
 from .errors import NaturalDomainError, SupportError, UnknownFamilyError
 from .tensor import INDEX_ALPHABET, one_hot as one_hot_value
 
@@ -60,6 +67,44 @@ class SupportType(enum.Enum):
     SIMPLEX = "SIMPLEX"
     INTEGER = "INTEGER"
     BINARY = "BINARY"
+
+
+# ---------------------------------------------------------------------------
+# the non-arithmetic functions of the closed forms, on arrays and on handles
+
+
+def _graph_diag(v):
+    batch = INDEX_ALPHABET[:len(v.shape) - 1]
+    eye = v.builder.constant(np.eye(v.shape[-1]))
+    return G.einsum(f"{batch}i,ij->{batch}ij", v, eye)
+
+
+_ARRAY_FNS = SimpleNamespace(
+    log=np.log,
+    gammaln=sp.gammaln,
+    softplus=lambda x: np.logaddexp(0.0, x),
+    logsumexp=lambda x: sp.logsumexp(x, axis=-1),
+    sum=lambda x: np.sum(x, axis=-1),
+    diag=lambda v: v[..., None] * np.eye(v.shape[-1]),
+    zeros=lambda like, shape: np.zeros(shape),
+)
+
+_GRAPH_FNS = SimpleNamespace(
+    log=G.log,
+    gammaln=G.log_gamma,
+    softplus=lambda x: G.log1p(G.exp(x)),
+    logsumexp=lambda x: G.logsumexp(x, len(x.shape) - 1),
+    sum=lambda x: G.sum_axis(x, len(x.shape) - 1),
+    diag=_graph_diag,
+    zeros=lambda like, shape: like.builder.constant(np.zeros(shape)),
+)
+
+
+def _fns(x):
+    """Graph functions for a handle, numpy ones otherwise. ``sum`` and
+    ``logsumexp`` reduce the last axis; ``zeros(like, shape)`` makes zeros
+    of ``like``'s kind."""
+    return _GRAPH_FNS if isinstance(x, G.ExprHandle) else _ARRAY_FNS
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +164,8 @@ def _categorical_sample(rng, logits):
 
 class FamilySpec:
     """One tractable exponential family; subclasses fill in the closed
-    forms. ``nat`` everywhere is a dict descriptor -> ndarray."""
+    forms. ``nat`` everywhere is a dict descriptor -> ndarray; ``pad_nat``
+    and ``log_normalizer`` also take graph handles in its place."""
 
     name: str = ""
     support: SupportType
@@ -136,23 +182,18 @@ class FamilySpec:
         """Zero-fill statistics the model omitted (a missing statistic has
         natural parameter 0)."""
         nat = dict(nat)
+        like = next(iter(nat.values()))
         shape = self.batch_shape(nat)
         for d in self.signature:
             if d not in nat:
-                nat[d] = np.zeros(shape)
+                nat[d] = _fns(like).zeros(like, shape)
         return nat
-
-    def pad_handles(self, gb, etas: dict) -> dict:
-        """Like :meth:`pad_nat`, with zero constants in a graph."""
-        shape = next(iter(etas.values())).shape
-        return {d: etas[d] if d in etas else gb.constant(np.zeros(shape))
-                for d in self.signature}
 
     def check_domain(self, nat: dict) -> None:
         raise NotImplementedError
 
     def batch_shape(self, nat: dict):
-        return np.asarray(next(iter(nat.values()))).shape
+        return np.shape(next(iter(nat.values())))
 
     # -- closed forms -------------------------------------------------------
 
@@ -193,12 +234,10 @@ class FamilySpec:
     def from_standard(self, **standard) -> dict:
         raise NotImplementedError
 
-    # -- graph-mode log-normalizer (for marginalization) --------------------
-
     def lognorm_graph(self, gb, etas: dict) -> "G.ExprHandle":
-        """Graph computing the total A (summed over the batch) from handles
-        for the discovered natural-parameter graphs; pads them first."""
-        raise NotImplementedError
+        """Graph of the total A (summed over the batch) at handles of the
+        discovered natural-parameter graphs: the closed form on values."""
+        return G.sum_all(self.log_normalizer(self.pad_nat(etas)))
 
     def describe(self, nat: dict) -> str:
         std = self.to_standard(nat)
@@ -225,7 +264,7 @@ class BernoulliFamily(FamilySpec):
             raise NaturalDomainError("Bernoulli: logit must be finite")
 
     def log_normalizer(self, nat):
-        return np.logaddexp(0.0, nat["identity"])
+        return _fns(nat["identity"]).softplus(nat["identity"])
 
     def mean_params(self, nat):
         return {"identity": sp.expit(nat["identity"])}
@@ -249,10 +288,6 @@ class BernoulliFamily(FamilySpec):
         p = np.asarray(prob, dtype=np.float64)
         return {"identity": np.log(p) - np.log1p(-p)}
 
-    def lognorm_graph(self, gb, etas):
-        eta = etas["identity"]
-        return G.sum_all(gb.prim("log1p", (gb.prim("exp", (eta,)),)))
-
 
 class CategoricalFamily(FamilySpec):
     name = "Categorical"
@@ -270,7 +305,7 @@ class CategoricalFamily(FamilySpec):
             raise NaturalDomainError("Categorical: logits must be finite")
 
     def log_normalizer(self, nat):
-        return sp.logsumexp(nat["one_hot"], axis=-1)
+        return _fns(nat["one_hot"]).logsumexp(nat["one_hot"])
 
     def mean_params(self, nat):
         logits = nat["one_hot"]
@@ -304,11 +339,6 @@ class CategoricalFamily(FamilySpec):
     def from_standard(self, probs):
         return {"one_hot": np.log(np.asarray(probs, dtype=np.float64))}
 
-    def lognorm_graph(self, gb, etas):
-        eta = etas["one_hot"]
-        lse = gb.prim("logsumexp", (eta,), (len(eta.shape) - 1,))
-        return G.sum_all(lse)
-
 
 class BetaFamily(FamilySpec):
     name = "Beta"
@@ -321,9 +351,10 @@ class BetaFamily(FamilySpec):
                 "Beta: both pseudo-count parameters must exceed -1")
 
     def log_normalizer(self, nat):
+        f = _fns(nat["log"])
         a = nat["log"] + 1.0
         b = nat["log1p_neg"] + 1.0
-        return sp.gammaln(a) + sp.gammaln(b) - sp.gammaln(a + b)
+        return f.gammaln(a) + f.gammaln(b) - f.gammaln(a + b)
 
     def mean_params(self, nat):
         a = nat["log"] + 1.0
@@ -350,17 +381,6 @@ class BetaFamily(FamilySpec):
         return {"log": np.asarray(a, dtype=np.float64) - 1.0,
                 "log1p_neg": np.asarray(b, dtype=np.float64) - 1.0}
 
-    def lognorm_graph(self, gb, etas):
-        etas = self.pad_handles(gb, etas)
-        one = gb.constant(1.0)
-        a = gb.prim("add", (etas["log"], one))
-        b = gb.prim("add", (etas["log1p_neg"], one))
-        lg = gb.prim("log_gamma", (a,))
-        lgb = gb.prim("log_gamma", (b,))
-        lgab = gb.prim("log_gamma", (gb.prim("add", (a, b)),))
-        total = gb.prim("subtract", (gb.prim("add", (lg, lgb)), lgab))
-        return G.sum_all(total)
-
 
 class GammaFamily(FamilySpec):
     name = "Gamma"
@@ -374,9 +394,10 @@ class GammaFamily(FamilySpec):
             raise NaturalDomainError("Gamma: shape-side parameter must be > -1")
 
     def log_normalizer(self, nat):
+        f = _fns(nat["log"])
         a = nat["log"] + 1.0
         b = -nat["identity"]
-        return sp.gammaln(a) - a * np.log(b)
+        return f.gammaln(a) - a * f.log(b)
 
     def mean_params(self, nat):
         a = nat["log"] + 1.0
@@ -401,14 +422,6 @@ class GammaFamily(FamilySpec):
         return {"identity": -np.asarray(rate, dtype=np.float64),
                 "log": np.asarray(shape, dtype=np.float64) - 1.0}
 
-    def lognorm_graph(self, gb, etas):
-        etas = self.pad_handles(gb, etas)
-        a = gb.prim("add", (etas["log"], gb.constant(1.0)))
-        b = gb.prim("negate", (etas["identity"],))
-        term = gb.prim("subtract", (gb.prim("log_gamma", (a,)),
-                                    gb.prim("multiply", (a, gb.prim("log", (b,))))))
-        return G.sum_all(term)
-
 
 class DirichletFamily(FamilySpec):
     name = "Dirichlet"
@@ -423,9 +436,9 @@ class DirichletFamily(FamilySpec):
             raise NaturalDomainError("Dirichlet: parameters must exceed -1")
 
     def log_normalizer(self, nat):
+        f = _fns(nat["log"])
         alpha = nat["log"] + 1.0
-        return np.sum(sp.gammaln(alpha), axis=-1) - sp.gammaln(
-            np.sum(alpha, axis=-1))
+        return f.sum(f.gammaln(alpha)) - f.gammaln(f.sum(alpha))
 
     def mean_params(self, nat):
         alpha = nat["log"] + 1.0
@@ -449,14 +462,6 @@ class DirichletFamily(FamilySpec):
     def from_standard(self, alpha):
         return {"log": np.asarray(alpha, dtype=np.float64) - 1.0}
 
-    def lognorm_graph(self, gb, etas):
-        one = gb.constant(1.0)
-        alpha = gb.prim("add", (etas["log"], one))
-        term1 = G.sum_all(gb.prim("log_gamma", (alpha,)))
-        row_sum = gb.prim("sum_axis", (alpha,), (len(alpha.shape) - 1,))
-        term2 = G.sum_all(gb.prim("log_gamma", (row_sum,)))
-        return gb.prim("subtract", (term1, term2))
-
 
 class NormalFamily(FamilySpec):
     """Batched Normal with independent components, t(z) = (z, z^2)."""
@@ -474,7 +479,8 @@ class NormalFamily(FamilySpec):
 
     def log_normalizer(self, nat):
         e1, e2 = nat["identity"], nat["square"]
-        return -0.25 * e1 * e1 / e2 - 0.5 * np.log(-2.0 * e2) + 0.5 * LOG_2PI
+        return (-0.25 * e1 * e1 / e2 - 0.5 * _fns(e2).log(-2.0 * e2)
+                + 0.5 * LOG_2PI)
 
     def mean_params(self, nat):
         e1, e2 = nat["identity"], nat["square"]
@@ -504,29 +510,17 @@ class NormalFamily(FamilySpec):
         sd = np.asarray(sd, dtype=np.float64)
         return {"identity": mean / (sd * sd), "square": -0.5 / (sd * sd)}
 
-    def lognorm_graph(self, gb, etas):
-        etas = self.pad_handles(gb, etas)
-        e1, e2 = etas["identity"], etas["square"]
-        shape = e2.shape
-        quarter = gb.constant(-0.25)
-        quad = gb.prim("multiply", (gb.prim("multiply", (e1, e1)),
-                                    gb.prim("reciprocal", (e2,))))
-        quad = gb.prim("multiply", (quarter, quad))
-        neg2 = gb.prim("multiply", (gb.constant(-2.0), e2))
-        logdet = gb.prim("multiply", (gb.constant(-0.5),
-                                      gb.prim("log", (neg2,))))
-        n = int(np.prod(shape)) if shape else 1
-        const = gb.constant(0.5 * LOG_2PI * n)
-        return gb.prim("add", (gb.prim("add", (G.sum_all(quad),
-                                               G.sum_all(logdet))), const))
-
 
 class MultivariateNormalFamily(FamilySpec):
     """Multivariate normal over rows, t(z) = (z, z z^T); leading axes of
     eta1 are batch axes. A model may also hold the elementwise square
     statistic z^2 = diag(z z^T): its parameter folds into the diagonal of
     the matrix parameter before any check or closed form, and the mean map
-    reports its mean as the diagonal of E[z z^T]."""
+    reports its mean as the diagonal of E[z z^T].
+
+    Only the matrix parameter's symmetric part matters: :meth:`_lam`,
+    which every closed form on values calls, is the one place that takes
+    it. The graph-only A (:meth:`lognorm_graph`) does not symmetrize."""
 
     name = "MultivariateNormal"
     support = SupportType.REAL
@@ -537,25 +531,14 @@ class MultivariateNormalFamily(FamilySpec):
         return nat["outer"].shape[:-2]
 
     def pad_nat(self, nat):
-        """Symmetrize the matrix parameter, fold the square parameter into
-        its diagonal, and zero-fill an omitted identity parameter."""
+        """Fold the square parameter into the diagonal of the matrix
+        parameter and zero-fill an omitted identity parameter."""
         e2 = nat["outer"]
-        e2 = 0.5 * (e2 + np.swapaxes(e2, -1, -2))
+        f = _fns(e2)
         if "square" in nat:
-            e2 = e2 + nat["square"][..., None] * np.eye(e2.shape[-1])
-        e1 = nat["identity"] if "identity" in nat else np.zeros(e2.shape[:-1])
-        return {"outer": e2, "identity": e1}
-
-    def pad_handles(self, gb, etas):
-        e2 = etas["outer"]
-        if "square" in etas:
-            batch = INDEX_ALPHABET[:len(e2.shape) - 2]
-            eye = gb.constant(np.eye(e2.shape[-1]))
-            diag = gb.prim("einsum", (etas["square"], eye),
-                           (f"{batch}i,ij->{batch}ij",))
-            e2 = gb.prim("add", (e2, diag))
-        e1 = (etas["identity"] if "identity" in etas
-              else gb.constant(np.zeros(e2.shape[:-1])))
+            e2 = e2 + f.diag(nat["square"])
+        e1 = (nat["identity"] if "identity" in nat
+              else f.zeros(e2, e2.shape[:-1]))
         return {"outer": e2, "identity": e1}
 
     def _lam(self, nat):
@@ -628,36 +611,51 @@ class MultivariateNormalFamily(FamilySpec):
                 "outer": -0.5 * prec}
 
     def lognorm_graph(self, gb, etas):
-        from .canonicalize import split_common_scalar_factor
-
-        etas = self.pad_handles(gb, etas)
-        e1, e2 = etas["identity"], etas["outer"]
+        """A on handles. Scalars s common to every monomial of eta2 (a
+        Gamma precision, say) stay outside the inverse and the
+        log-determinant, inv(s R) = inv(R) / s and logdet(-2 s R) =
+        d log(s) + logdet(-2 R) for s > 0, so the re-canonicalized marginal
+        is recognized again. R = eta2 / s is left for the simplifier, whose
+        exponent collection cancels s inside each monomial."""
+        nat = self.pad_nat(etas)
+        e1, e2 = nat["identity"], nat["outer"]
         batch = INDEX_ALPHABET[:len(e2.shape) - 2]
         d = e2.shape[-1]
+        nbatch = int(np.prod(e2.shape[:-2]))
+        scalars = _common_scalars(gb, e2)
+        residual = e2
+        for s in scalars:
+            residual = residual * G.reciprocal(s)
+        quad = -0.25 * G.einsum(f"{batch}i,{batch}ij,{batch}j->",
+                                e1, G.inverse(residual), e1)
+        ld = G.sum_all(G.logdet(-2.0 * residual))
+        for s in scalars:
+            quad = quad * G.reciprocal(s)
+            ld = ld + float(d * nbatch) * G.log(s)
+        return quad - 0.5 * ld + 0.5 * d * nbatch * LOG_2PI
 
-        # Factor any scalar common to all monomials of eta2 out of the
-        # inverse and the log-determinant so that precision-style scalars
-        # (e.g. a Gamma-distributed precision) stay recognizable in the
-        # re-canonicalized marginal: inv(s*R) = (1/s) inv(R) and
-        # logdet(-2 s R) = d*log(s) + logdet(-2 R) for s > 0.
-        scalar, residual = split_common_scalar_factor(gb, e2)
-        inv_r = gb.prim("inverse", (residual,))
-        qf = f"{batch}i,{batch}ij,{batch}j->" if batch else "i,ij,j->"
-        quad = gb.prim("einsum", (e1, inv_r, e1), (qf,))
-        quad = gb.prim("multiply", (gb.constant(-0.25), quad))
-        neg2r = gb.prim("multiply", (gb.constant(-2.0), residual))
-        ld = gb.prim("logdet", (neg2r,))
-        ld_total = G.sum_all(ld)
-        nbatch = int(np.prod(e2.shape[:-2])) if e2.shape[:-2] else 1
-        if scalar is not None:
-            rec = gb.prim("reciprocal", (scalar,))
-            quad = gb.prim("multiply", (quad, rec))
-            logs = gb.prim("multiply", (gb.constant(float(d * nbatch)),
-                                        gb.prim("log", (scalar,))))
-            ld_total = gb.prim("add", (ld_total, logs))
-        half = gb.prim("multiply", (gb.constant(-0.5), ld_total))
-        const = gb.constant(0.5 * d * nbatch * LOG_2PI)
-        return gb.prim("add", (gb.prim("add", (quad, half)), const))
+
+def _common_scalars(gb, h):
+    """The non-constant scalar operands that every monomial of the graph
+    at ``h`` holds, with multiplicity, as handles of ``gb``. Eta graphs are
+    built from canonical monomials and hold no log redex, so one simplifier
+    sweep brings ``h`` to monomial form."""
+    g = local_simplify(G.subgraph(gb.finish(h), h.nid))
+    hashes = g.structural_hashes()
+    common, first = None, {}
+    for m in index_monomials(g)[0]:
+        node = g.nodes[m.root]
+        if not (isinstance(node, G.PrimNode) and node.op == "einsum"):
+            return []
+        held = [a for a in node.args if g.shapes[a] == ()
+                and not isinstance(g.nodes[a], G.ConstNode)]
+        for a in held:
+            first.setdefault(hashes[a], a)
+        counts = Counter(hashes[a] for a in held)
+        common = counts if common is None else common & counts
+    memo = {i: gb.input_handle(g.nodes[i].name) for i in g.inputs}
+    return [G.rebuild(gb, g, first[k], memo)
+            for k in sorted(common) for _ in range(common[k])]
 
 
 # ---------------------------------------------------------------------------

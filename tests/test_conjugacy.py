@@ -343,6 +343,26 @@ class TestMarginalize:
                      + float(np.sum(fac.from_env(rest).log_prob(args["z"]))))
             assert abs(total - full) <= 1e-12 * max(1.0, abs(full))
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the graph-side MVN log-normalizer inverts the quadratic "
+        "coefficient unsymmetrized (ROADMAP)"))
+    def test_chain_rule_with_asymmetric_quadratic_coefficient(self):
+        def model(z, q, m):
+            return (-0.5 * G.einsum("i,ij,j->", z, q, z)
+                    + G.einsum("i,i->", m, z))
+
+        g = G.build(model, [("z", (3,)), ("q", (3, 3)), ("m", (3,))])
+        marg = marginalize(g, 0, SupportType.REAL)
+        fac = complete_conditional(g, 0, SupportType.REAL)
+        rng = np.random.default_rng(0)
+        k = rng.standard_normal((3, 3))
+        rest = dict(q=_spd(rng, 3) + (k - k.T), m=rng.standard_normal(3))
+        z = rng.standard_normal(3)
+        full = float(G.evaluate(g, dict(rest, z=z)))
+        total = (float(G.evaluate(marg, rest))
+                 + float(fac.from_env(rest).log_prob(z)))
+        assert abs(total - full) <= 1e-10
+
     def test_order_invariance_for_gaussian_chain(self):
         def model(z1, z2, y):
             lp = -0.5 * G.square(z1) - 0.5 * LOG2PI
@@ -463,6 +483,26 @@ class TestSharedAnalysis:
         g = fixture("normal_gamma").graph()
         with pytest.raises(ConjugacyError, match="out of range"):
             TRANSFORMS[transform](g, argnum, SupportType.REAL)
+
+    @pytest.mark.parametrize("argnum", ["tau", 0.0, True])
+    @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+    def test_non_integer_argnum_rejected(self, transform, argnum):
+        g = fixture("normal_gamma").graph()
+        with pytest.raises(ConjugacyError,
+                           match=r"not an integer .*'tau', 'beta'"):
+            TRANSFORMS[transform](g, argnum, "NONNEGATIVE")
+
+    @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+    def test_unknown_support_lists_the_supports(self, transform):
+        g = fixture("normal_gamma").graph()
+        with pytest.raises(ConjugacyError,
+                           match=r"unknown support 'NONNEG'.*'NONNEGATIVE'"):
+            TRANSFORMS[transform](g, 0, "NONNEG")
+
+    def test_argnums_must_be_a_sequence(self):
+        g = fixture("normal_gamma").graph()
+        with pytest.raises(ConjugacyError, match="aligned sequences"):
+            multilinear_repr(g, 0, [SupportType.NONNEGATIVE])
 
     def test_duplicate_argnums_rejected(self):
         g = fixture("normal_gamma").graph()

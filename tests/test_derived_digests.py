@@ -11,7 +11,8 @@ purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_derived_digests.py
 
-and says so in CHANGES.md.
+and says so in CHANGES.md; it prints each key whose dump changed,
+renumbered or restructured, before it writes.
 """
 
 import hashlib
@@ -57,22 +58,44 @@ def derived_digests():
     return out
 
 
+def classify_changes(want, got):
+    """Keys of ``want`` whose dump changed in ``got``, split into those
+    that kept their root hash (renumbered) and those that did not
+    (restructured); a renumbered key whose inputs changed says so."""
+    changed = [k for k in want
+               if k in got and got[k]["dump"] != want[k]["dump"]]
+    renumbered = [k if got[k]["inputs"] == want[k]["inputs"]
+                  else k + " (inputs changed)" for k in changed
+                  if got[k]["root"] == want[k]["root"]]
+    restructured = [k for k in changed if got[k]["root"] != want[k]["root"]]
+    return renumbered, restructured
+
+
 def test_derived_graphs_match_pinned_digests():
     with open(DATA) as f:
         want = json.load(f)
     got = derived_digests()
     assert sorted(got) == sorted(want)
-    changed = [k for k in want if got[k]["dump"] != want[k]["dump"]]
-    renumbered = [k if got[k]["inputs"] == want[k]["inputs"]
-                  else k + " (inputs changed)" for k in changed
-                  if got[k]["root"] == want[k]["root"]]
-    restructured = [k for k in changed if got[k]["root"] != want[k]["root"]]
-    assert not changed, (
+    renumbered, restructured = classify_changes(want, got)
+    assert not (renumbered or restructured), (
         f"derived graphs changed; same structure, renumbered: {renumbered}; "
         f"structure changed: {restructured}")
 
 
 if __name__ == "__main__":
+    got = derived_digests()
+    want = {}
+    if os.path.exists(DATA):
+        with open(DATA) as f:
+            want = json.load(f)
+    renumbered, restructured = classify_changes(want, got)
+    for title, keys in (("renumbered (same root)", renumbered),
+                        ("restructured", restructured),
+                        ("added", sorted(set(got) - set(want))),
+                        ("removed", sorted(set(want) - set(got)))):
+        print(f"{title}: {len(keys)}")
+        for k in keys:
+            print(f"  {k}")
     with open(DATA, "w") as f:
-        json.dump(derived_digests(), f, indent=1, sort_keys=True)
+        json.dump(got, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -4,6 +4,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from symconj import expfam as E
+from symconj import graph as G
 from symconj.errors import NaturalDomainError, SupportError, UnknownFamilyError
 
 REG = E.register_builtin_families()
@@ -92,6 +93,61 @@ class TestLogNormalizer:
             E.Distribution(REG.get("Normal"),
                            {"identity": np.asarray(0.0),
                             "square": np.asarray(0.5)})
+
+
+def _mvn_partial(rng):
+    a = rng.standard_normal((3, 3))
+    return {"outer": -0.5 * (a @ a.T + np.eye(3)),
+            "square": -rng.uniform(0.1, 1.0, 3)}
+
+
+# family, natural parameters (a subset of the family's statistics)
+LOGNORM_CASES = {
+    **{name: (name, lambda rng, name=name: random_nat(name, rng))
+       for name in sorted(f.name for f in REG)},
+    "Beta_log_only": ("Beta", lambda rng: {
+        "log": rng.uniform(-0.5, 3, 4)}),
+    "Gamma_identity_only": ("Gamma", lambda rng: {
+        "identity": -rng.uniform(0.5, 3, 4)}),
+    "Normal_square_only": ("Normal", lambda rng: {
+        "square": -rng.uniform(0.2, 2, 4)}),
+    "MultivariateNormal_outer_square": ("MultivariateNormal", _mvn_partial),
+}
+
+
+class TestLogNormalizerGraph:
+    """``lognorm_graph`` is the closed form on values, over handles."""
+
+    @pytest.mark.parametrize("case", sorted(LOGNORM_CASES))
+    def test_matches_closed_form_on_values(self, case):
+        name, draw = LOGNORM_CASES[case]
+        fam = REG.get(name)
+        nat = {d: np.asarray(v, dtype=np.float64)
+               for d, v in draw(np.random.default_rng(2)).items()}
+        gb = G.GraphBuilder()
+        etas = {d: gb.input(f"eta_{d}", v.shape) for d, v in nat.items()}
+        g = gb.finish(fam.lognorm_graph(gb, etas))
+        got = G.evaluate(g, {f"eta_{d}": v for d, v in nat.items()})
+        want = np.sum(fam.log_normalizer(fam.pad_nat(nat)))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_mvn_keeps_common_scalar_outside_logdet(self):
+        fam = REG.get("MultivariateNormal")
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 3))
+        r = -0.5 * (a @ a.T + np.eye(3))
+        env = dict(s=2.5, r=r, e1=rng.standard_normal(3))
+        gb = G.GraphBuilder()
+        s, rh = gb.input("s", ()), gb.input("r", (3, 3))
+        etas = {"outer": s * rh, "identity": gb.input("e1", (3,))}
+        g = gb.finish(fam.lognorm_graph(gb, etas))
+        want = fam.log_normalizer(fam.pad_nat(
+            {"outer": env["s"] * r, "identity": env["e1"]}))
+        assert abs(G.evaluate(g, env) - want) <= 1e-12 * max(1.0, abs(want))
+        logdets = [i for i, n in enumerate(g.nodes)
+                   if isinstance(n, G.PrimNode) and n.op == "logdet"]
+        assert logdets and "log(s)" in G.render(g, g.output)
+        assert not any("log(s)" in G.render(g, i) for i in logdets)
 
 
 class TestMeanParams:
