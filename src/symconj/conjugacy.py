@@ -38,6 +38,7 @@ statistic shape are named as rendered expressions.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -437,11 +438,15 @@ class LatentBlock:
         return {s.descriptor: G.evaluate(s.stat_graph, {self.name: value})
                 for s in self.stats}
 
+    @functools.cached_property
+    def eta_plan(self) -> G.EvalPlan:
+        """One plan over all of the block's eta graphs."""
+        return G.EvalPlan([s.eta_graph for s in self.stats])
+
     def distribution(self, env: dict) -> Distribution:
         """The block's validated Distribution, with natural parameters
         evaluated from its eta graphs in ``env``."""
-        values = {s.descriptor: G.evaluate(s.eta_graph, env)
-                  for s in self.stats}
+        values = dict(zip(self.descriptors, self.eta_plan.run(env)))
         return Distribution(self.family, values)
 
     @property

@@ -4,17 +4,22 @@ A :class:`TermGraph` is an append-only table of nodes (named inputs,
 constants, and primitive applications) with one designated output. Graphs
 are built through a :class:`GraphBuilder` and the expression-combinator
 functions in this module (``log``, ``einsum``, operator overloads on
-handles, ...), interpreted by :func:`evaluate`, deduplicated by
+handles, ...), evaluated by :func:`evaluate`, deduplicated by
 :func:`cse`, differentiated symbolically by :func:`grad`, and edited by
-:func:`splice`. Every transform that copies one graph into a builder
-(surgery, :func:`subgraph`, :func:`import_graph`, gradients, statistic
-discovery, natural-parameter extraction) goes through one traversal,
-:func:`rebuild`, whose ``substitute`` callback swaps chosen nodes for
-other handles. The einsum vector-Jacobian product behind :func:`grad` also
-reads natural parameters off the canonical monomials. Text and DOT
-serializations are produced by :func:`dump`; the text form parses back
-with :func:`parse`. :func:`render` writes one node's expression on one
-line, for error messages.
+:func:`splice`. :func:`evaluate` runs the graph's :class:`EvalPlan`,
+compiled once per graph from the one op-to-kernel table :data:`KERNELS`:
+einsum ranks and extents are checked against the graph's static shapes
+when the plan is built; input bindings and shapes, kernel domains and the
+finiteness of kernel results are checked on every call. Every transform
+that copies one graph into a builder (surgery, :func:`subgraph`,
+:func:`import_graph`, gradients, statistic discovery, natural-parameter
+extraction) goes through one traversal, :func:`rebuild`, whose
+``substitute`` callback swaps chosen nodes for other handles. The einsum
+vector-Jacobian product behind :func:`grad` also reads natural parameters
+off the canonical monomials. Text and DOT serializations are produced by
+:func:`dump`; the text form parses back with :func:`parse`.
+:func:`render` writes one node's expression on one line, for error
+messages.
 
 Node argument lists always reference earlier nodes, so the node table is
 its own topological order and acyclicity holds by construction. All
@@ -25,19 +30,20 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor
-from .errors import GraphError, NonDifferentiableError
+from .errors import GraphError, NonDifferentiableError, NumericDomainError
 from .tensor import INDEX_ALPHABET, EinsumSpec, as_tensor
 
 __all__ = [
     "TermGraph", "GraphBuilder", "ExprHandle", "build", "evaluate", "cse",
     "grad", "splice", "dump", "parse", "subgraph", "import_graph",
-    "rebuild", "graph_equal", "render",
+    "rebuild", "graph_equal", "render", "EvalPlan",
 ]
 
 # Ops whose second constructor argument is a static attribute tuple:
@@ -150,38 +156,64 @@ def _infer_shape(op, attrs, arg_shapes):
     raise GraphError(f"unknown primitive {op!r}")
 
 
+def _power(x, y):
+    out = np.power(x, y)
+    finite = np.isfinite(out)
+    if not tensor.all_true(finite):
+        i = int(np.flatnonzero(~finite)[0])
+        raise NumericDomainError(
+            f"power: non-finite result at flat index {i} (value "
+            f"{np.broadcast_to(x, out.shape).flat[i]!r} ** "
+            f"{np.broadcast_to(y, out.shape).flat[i]!r})")
+    return out
+
+
+_reciprocal = tensor.unary_kernel("reciprocal")
+
+
+def _divide(x, y):
+    return _reciprocal(y) * x
+
+
+def _fixed(kernel):
+    return lambda attrs, shapes: kernel
+
+
+# op -> kernel factory: given a node's attributes and argument shapes, the
+# function of the argument values that computes the node. Shared by
+# evaluation plans and by constant folding (:func:`_eval_prim`).
+KERNELS = {
+    "einsum": lambda attrs, shapes: tensor.einsum_kernel(espec(attrs[0]),
+                                                         shapes),
+    "add": _fixed(operator.add),
+    "subtract": _fixed(operator.sub),
+    "multiply": _fixed(operator.mul),
+    "divide": _fixed(_divide),
+    "power": _fixed(_power),
+    "one_hot": lambda attrs, shapes: functools.partial(
+        tensor.one_hot, depth=int(attrs[0])),
+    "sum_axis": lambda attrs, shapes: functools.partial(
+        np.sum, axis=int(attrs[0])),
+    "logsumexp": lambda attrs, shapes: functools.partial(
+        tensor.logsumexp, axis=int(attrs[0])),
+    "broadcast_to": lambda attrs, shapes: (
+        lambda x: np.broadcast_to(x, tuple(attrs[0])).copy()),
+    "inverse": _fixed(tensor.inverse),
+    "logdet": _fixed(tensor.logdet),
+    **{op: _fixed(tensor.unary_kernel(op)) for op in UNARY_OPS},
+}
+
+
+def _kernel(op, attrs, arg_shapes):
+    if op not in KERNELS:
+        raise GraphError(f"unknown primitive {op!r}")
+    return KERNELS[op](attrs, tuple(arg_shapes))
+
+
 def _eval_prim(op, attrs, args):
-    if op == "einsum":
-        return tensor.einsum(espec(attrs[0]), args)
-    if op == "add":
-        return args[0] + args[1]
-    if op == "subtract":
-        return args[0] - args[1]
-    if op == "multiply":
-        return args[0] * args[1]
-    if op == "divide":
-        return tensor.map_unary("reciprocal", args[1]) * args[0]
-    if op == "power":
-        out = np.power(args[0], args[1])
-        if not np.all(np.isfinite(out)):
-            from .errors import NumericDomainError
-            raise NumericDomainError("power: non-finite result")
-        return out
-    if op in UNARY_OPS:
-        return tensor.map_unary(op, args[0])
-    if op == "one_hot":
-        return tensor.one_hot(args[0], int(attrs[0]))
-    if op == "sum_axis":
-        return np.sum(args[0], axis=int(attrs[0]))
-    if op == "logsumexp":
-        return tensor.logsumexp(args[0], int(attrs[0]))
-    if op == "broadcast_to":
-        return np.broadcast_to(args[0], tuple(attrs[0])).copy()
-    if op == "inverse":
-        return tensor.inverse(args[0])
-    if op == "logdet":
-        return tensor.logdet(args[0])
-    raise GraphError(f"unknown primitive {op!r}")
+    """One primitive applied to argument values (constant folding)."""
+    args = [as_tensor(a) for a in args]
+    return _kernel(op, attrs, [a.shape for a in args])(*args)
 
 
 def _node_digest(node, arg_digests):
@@ -216,7 +248,7 @@ class TermGraph:
         self.inputs = tuple(inputs)
         self.output = output
         self._hashes = None
-        self._live = None
+        self._plan = None
 
     def __len__(self):
         return len(self.nodes)
@@ -259,13 +291,11 @@ class TermGraph:
                 stack.extend(node.args)
         return mask
 
-    def live_nodes(self):
-        """``(node id, node)`` pairs reachable from the output, cached."""
-        if self._live is None:
-            reach = self.reachable()
-            self._live = tuple((i, node) for i, node in enumerate(self.nodes)
-                               if reach[i])
-        return self._live
+    def plan(self) -> "EvalPlan":
+        """The graph's :class:`EvalPlan`, built on first use and cached."""
+        if self._plan is None:
+            self._plan = EvalPlan([self])
+        return self._plan
 
     def depends_on(self, source_ids):
         """Boolean per-node mask: node value depends on any of the sources."""
@@ -523,29 +553,70 @@ def build(model_fn, inputs, scalar=True) -> TermGraph:
 # interpretation
 
 
+class EvalPlan:
+    """Evaluation of one or more graphs, compiled once and run many times.
+
+    Building the plan gives each node reachable from an output a slot and
+    an instruction: a constant's value, an input binding, or a primitive's
+    kernel from :data:`KERNELS`, whose einsum ranks and extents are checked
+    against the static shapes here. Structurally equal nodes share a slot,
+    across graphs too, so an input or a common subexpression is bound or
+    computed once per run. Each run checks every input binding and shape,
+    so interior values have the shapes their kernels were built for; the
+    kernels check their domains and the finiteness of their results.
+    """
+
+    def __init__(self, graphs):
+        slot_of: dict[bytes, int] = {}
+        self.initial = []   # per slot: a constant's value, else None
+        self.inputs = []    # (name, shape, slot)
+        self.steps = []     # (kernel, argument slots, slot)
+        self.outputs = []   # per graph, the slot of its output
+        for g in graphs:
+            hashes, reach = g.structural_hashes(), g.reachable()
+            local: dict[int, int] = {}
+            for i, node in enumerate(g.nodes):
+                if not reach[i]:
+                    continue
+                slot = slot_of.get(hashes[i])
+                if slot is None:
+                    slot = slot_of[hashes[i]] = len(self.initial)
+                    self.initial.append(node.value if isinstance(
+                        node, ConstNode) else None)
+                    if isinstance(node, InputNode):
+                        self.inputs.append((node.name, node.shape, slot))
+                    elif isinstance(node, PrimNode):
+                        kernel = _kernel(node.op, node.attrs,
+                                         [g.shapes[a] for a in node.args])
+                        self.steps.append(
+                            (kernel, tuple(local[a] for a in node.args),
+                             slot))
+                local[i] = slot
+            self.outputs.append(local[g.output])
+
+    def run(self, env: dict) -> list:
+        """The graphs' output values, in order, at the inputs in ``env``."""
+        values = list(self.initial)
+        for name, shape, slot in self.inputs:
+            if name not in env:
+                raise GraphError(f"missing binding for input {name!r}")
+            v = as_tensor(env[name])
+            if v.shape != shape:
+                raise GraphError(
+                    f"input {name!r} expects shape {shape}, got {v.shape}")
+            values[slot] = v
+        for kernel, args, slot in self.steps:
+            values[slot] = kernel(*[values[a] for a in args])
+        return [values[o] for o in self.outputs]
+
+
 def evaluate(g: TermGraph, env: dict) -> np.ndarray:
-    """Interpret the graph by composing primitive kernels in node order.
+    """Evaluate the graph's output by running its cached :class:`EvalPlan`.
 
     ``env`` maps input names to tensors; every input reachable from the
     output must be bound with a matching shape.
     """
-    values: dict[int, np.ndarray] = {}
-    for i, node in g.live_nodes():
-        if isinstance(node, InputNode):
-            if node.name not in env:
-                raise GraphError(f"missing binding for input {node.name!r}")
-            v = as_tensor(env[node.name])
-            if v.shape != node.shape:
-                raise GraphError(
-                    f"input {node.name!r} expects shape {node.shape}, "
-                    f"got {v.shape}")
-            values[i] = v
-        elif isinstance(node, ConstNode):
-            values[i] = node.value
-        else:
-            values[i] = _eval_prim(node.op, node.attrs,
-                                   [values[a] for a in node.args])
-    return values[g.output]
+    return g.plan().run(env)[0]
 
 
 # ---------------------------------------------------------------------------

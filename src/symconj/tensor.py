@@ -14,6 +14,7 @@ extents across operands.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,13 +103,22 @@ def einsum_output_shape(spec: EinsumSpec, operand_shapes) -> tuple[int, ...]:
     return tuple(extents[i] for i in spec.output)
 
 
-@functools.lru_cache(maxsize=None)
-def _pairwise_steps(spec: EinsumSpec) -> tuple[str, ...]:
-    """Two-operand formulas contracting the operands left to right; each
-    step sums out every index that no later operand or the output needs."""
+@functools.lru_cache(maxsize=4096)
+def einsum_kernel(spec: EinsumSpec, operand_shapes) -> Callable:
+    """The contraction of operands of the given shapes, as a function of
+    the operands; ranks and extents are validated here, once.
+
+    Multi-operand contractions run pairwise, left to right, so the cost
+    stays polynomial in the operand sizes: each step sums out every index
+    that no later operand or the output needs, and goes to ``np.einsum``
+    without path optimization. ``np.einsum_path`` is not used: on the
+    small operands of the derived updates, numpy's path planning and
+    execution cost more than the contraction itself.
+    """
+    einsum_output_shape(spec, operand_shapes)
     subs, out = spec.operand_subscripts, spec.output
     if len(subs) <= 2:
-        return (spec.formula,)
+        return functools.partial(np.einsum, spec.formula, optimize=False)
     steps = []
     acc_sub = subs[0]
     for k in range(1, len(subs)):
@@ -118,33 +128,27 @@ def _pairwise_steps(spec: EinsumSpec) -> tuple[str, ...]:
                   else "".join(ch for ch in merged if ch in later))
         steps.append(f"{acc_sub},{subs[k]}->{target}")
         acc_sub = target
-    return tuple(steps)
+
+    def pairwise(acc, *rest):
+        for step, op in zip(steps, rest):
+            acc = np.einsum(step, acc, op, optimize=False)
+        return acc
+    return pairwise
 
 
 def einsum(spec, operands) -> np.ndarray:
     """Evaluate a contraction per the nested-loop sum-of-products
     definition.
 
-    Ranks and extents are validated on every call, by a check cached per
-    formula and operand shapes. Multi-operand contractions then run
-    pairwise, left to right, so the cost stays polynomial in the operand
-    sizes; each step goes to ``np.einsum`` without path optimization. The
-    steps depend only on the subscripts, so they are computed once per
-    formula and cached. ``np.einsum_path`` is not used: on the small
-    operands of the derived updates, numpy's path planning and execution
-    cost more than the contraction itself.
+    Operands are coerced to float64 on every call; ranks and extents are
+    validated by :func:`einsum_kernel`, once per formula and operand
+    shapes. A graph's evaluation plan takes its einsum kernels from the
+    graph's static shapes when it is built.
     """
     if isinstance(spec, str):
         spec = EinsumSpec(spec)
     ops = [as_tensor(x) for x in operands]
-    einsum_output_shape(spec, tuple([op.shape for op in ops]))
-    steps = _pairwise_steps(spec)
-    if len(steps) == 1:
-        return np.einsum(steps[0], *ops, optimize=False)
-    acc = ops[0]
-    for step, op in zip(steps, ops[1:]):
-        acc = np.einsum(step, acc, op, optimize=False)
-    return acc
+    return einsum_kernel(spec, tuple([op.shape for op in ops]))(*ops)
 
 
 def _check_domain(name, x, mask):
@@ -175,19 +179,37 @@ UNARY_FNS = {
 }
 
 
-def map_unary(fn: str, x) -> np.ndarray:
-    """Apply a named elementwise function, checking its domain first."""
+def all_true(mask) -> bool:
+    """Whether every element of a boolean mask holds; a rank-0 mask, such
+    as a numpy scalar, is read without a reduction."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
+@functools.lru_cache(maxsize=None)
+def unary_kernel(fn: str) -> Callable:
+    """The named elementwise function with its domain check before and its
+    finiteness check after, as a function of one float64 tensor."""
     if fn not in UNARY_FNS:
         raise NumericDomainError(f"unknown unary function {fn!r}")
     kernel, domain = UNARY_FNS[fn]
-    x = as_tensor(x)
-    if domain is not None:
-        _check_domain(fn, x, domain(x))
-    with np.errstate(over="ignore"):
-        out = kernel(x)
-    if not np.all(np.isfinite(out)):
-        _check_domain(fn, x, np.isfinite(out))
-    return out
+
+    def checked(x):
+        if domain is not None:
+            ok = domain(x)
+            if not all_true(ok):
+                _check_domain(fn, x, ok)
+        with np.errstate(over="ignore"):
+            out = kernel(x)
+        finite = np.isfinite(out)
+        if not all_true(finite):
+            _check_domain(fn, x, finite)
+        return out
+    return checked
+
+
+def map_unary(fn: str, x) -> np.ndarray:
+    """Apply a named elementwise function, checking its domain first."""
+    return unary_kernel(fn)(as_tensor(x))
 
 
 def one_hot(indices, depth: int) -> np.ndarray:

@@ -39,7 +39,7 @@ def test_c01_beta_bernoulli_exactness():
     assert d.family.name == "Beta"
     assert float(std["a"]) == 60.5
     assert float(std["b"]) == 40.5
-    assert elapsed < 1.0
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, bound 1.0s"
     report(1, f"Beta(60.5, 40.5) exactly, in {elapsed:.2f}s")
 
 
@@ -59,7 +59,7 @@ def test_c02_marginal_matches_quadrature():
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8
-    assert elapsed < 5.0
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, bound 5.0s"
     report(2, f"marginal vs quadrature, max err {worst:.2e}, {elapsed:.2f}s")
 
 
@@ -113,7 +113,7 @@ def test_c04_kalman_recursion():
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8
-    assert elapsed < 10.0
+    assert elapsed < 10.0, f"took {elapsed:.2f}s, bound 10.0s"
     report(4, f"Kalman evidence, max err {worst:.2e}, {elapsed:.2f}s")
 
 
@@ -140,7 +140,7 @@ def test_c05_rewrite_soundness_fuzz():
         assert abs(v0 - v1) <= 1e-10 * max(1.0, abs(v0))
         checked += 1
     elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
+    assert elapsed < 60.0, f"took {elapsed:.2f}s, bound 60.0s"
     report(5, f"{checked} random graphs sound ({attempts} drawn), {elapsed:.1f}s")
 
 

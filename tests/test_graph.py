@@ -1,8 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from symconj import graph as G
-from symconj.errors import GraphError, NonDifferentiableError, SymconjError
+from symconj.canonicalize import canonicalize
+from symconj.conjugacy import (complete_conditional, marginalize,
+                               multilinear_repr)
+from symconj.errors import (GraphError, NonDifferentiableError,
+                            NumericDomainError, SymconjError)
+from symconj.models import fixture, fixtures
+from symconj.tensor import as_tensor
 
 from oracles import central_diff
 
@@ -130,6 +138,157 @@ class TestEvaluate:
             cut_value = G.evaluate(sub, env)
             replaced = with_constant(g, nid, cut_value)
             assert abs(G.evaluate(replaced, env) - full) < 1e-12
+
+
+def reference_evaluate(g, env):
+    """Node-by-node walk of the reachable nodes through ``_eval_prim``."""
+    values = {}
+    reach = g.reachable()
+    for i, node in enumerate(g.nodes):
+        if not reach[i]:
+            continue
+        if isinstance(node, G.InputNode):
+            values[i] = as_tensor(env[node.name])
+        elif isinstance(node, G.ConstNode):
+            values[i] = node.value
+        else:
+            values[i] = G._eval_prim(node.op, node.attrs,
+                                     [values[a] for a in node.args])
+    return values[g.output]
+
+
+def assert_same_bits(g, env, got=None):
+    """The plan's value of ``g`` (or ``got``) equals the reference walk's
+    bit for bit, or both raise the same error."""
+    try:
+        want = reference_evaluate(g, env)
+    except SymconjError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            G.evaluate(g, env)
+        return
+    if got is None:
+        got = G.evaluate(g, env)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def derived_graphs(fx):
+    """Every graph derived from a fixture, with one environment binding
+    all of their inputs: the example arguments plus, per latent block, its
+    statistic inputs at the example value."""
+    g = fx.graph()
+    env = dict(fx.example_args(0))
+    graphs = {"log_joint": g, "canonical": canonicalize(g).graph}
+    blocks = []
+    for argnum, support in fx.latents:
+        var = g.input_names[argnum]
+        block = complete_conditional(g, argnum, support).block
+        blocks.append(block)
+        for s in block.stats:
+            graphs[f"conditional/{var}/{s.descriptor}"] = s.eta_graph
+        graphs[f"marginal/{var}"] = marginalize(g, argnum, support)
+    if fx.latents:
+        mr = multilinear_repr(g, argnums=[a for a, _ in fx.latents],
+                              supports=[s for _, s in fx.latents])
+        graphs["neg_energy"] = mr.neg_energy
+        env.update(mr.energy_env(
+            {b.name: b.statistic_values(env[b.name]) for b in mr.blocks}, {}))
+        blocks.extend(mr.blocks)
+        for b in mr.blocks:
+            for s in b.stats:
+                graphs[f"multilinear/{b.name}/{s.descriptor}/stat"] = (
+                    s.stat_graph)
+                graphs[f"multilinear/{b.name}/{s.descriptor}/eta"] = (
+                    s.eta_graph)
+    return graphs, blocks, env
+
+
+class TestEvalPlan:
+    @pytest.mark.parametrize("fx", fixtures(), ids=lambda fx: fx.name)
+    def test_plan_matches_reference_walk_bit_for_bit(self, fx):
+        graphs, blocks, env = derived_graphs(fx)
+        for g in graphs.values():
+            assert_same_bits(g, env)
+        for b in blocks:
+            for s, got in zip(b.stats, b.eta_plan.run(env)):
+                assert_same_bits(s.eta_graph, env, got)
+
+    def test_plan_built_once_and_reused(self, monkeypatch):
+        built = []
+
+        class CountingPlan(G.EvalPlan):
+            def __init__(self, graphs):
+                built.append(graphs)
+                super().__init__(graphs)
+
+        monkeypatch.setattr(G, "EvalPlan", CountingPlan)
+        g = beta_bernoulli_graph()
+        first = G.evaluate(g, BB_ENV)
+        plan = g.plan()
+        for _ in range(3):
+            assert G.evaluate(g, BB_ENV) == first
+        assert g.plan() is plan
+        assert len(built) == 1
+
+    def test_block_plan_shares_inputs_and_subexpressions(self):
+        fx = fixture("kalman")
+        g = fx.graph()
+        block = complete_conditional(g, 0, fx.latents[0][1]).block
+        plan = block.eta_plan
+        assert block.eta_plan is plan
+        assert len(plan.outputs) == len(block.stats)
+        names = [name for name, _, _ in plan.inputs]
+        assert len(names) == len(set(names))
+        etas = [s.eta_graph.plan() for s in block.stats]
+        assert len(plan.inputs) < sum(len(p.inputs) for p in etas)
+        assert len(plan.steps) < sum(len(p.steps) for p in etas)
+
+    def test_interior_domain_violation_names_flat_index(self):
+        g = G.build(lambda x: G.log(x - 2.0), [("x", (2,))], scalar=False)
+        assert np.array_equal(G.evaluate(g, {"x": [3.0, 4.0]}),
+                              np.log([1.0, 2.0]))
+        with pytest.raises(NumericDomainError,
+                           match=r"log: domain violation at flat index 1 "
+                                 r"\(value .*-1\.0\)"):
+            G.evaluate(g, {"x": [3.0, 1.0]})
+
+    def test_non_finite_unary_result_raises(self):
+        g = G.build(lambda x: G.exp(x), [("x", ())], scalar=False)
+        assert G.evaluate(g, {"x": 1.0}) == np.exp(1.0)
+        with pytest.raises(NumericDomainError, match="exp: .*flat index 0"):
+            G.evaluate(g, {"x": 1000.0})
+
+    def test_power_non_finite_result_names_flat_index(self):
+        g = G.build(lambda x, y: x ** y, [("x", (2,)), ("y", ())],
+                    scalar=False)
+        assert np.array_equal(G.evaluate(g, {"x": [2.0, 4.0], "y": -1.0}),
+                              [0.5, 0.25])
+        with np.errstate(divide="ignore"), pytest.raises(
+                NumericDomainError,
+                match=r"power: non-finite result at flat index 1 "
+                      r"\(value .*0\.0\).* \*\* .*-1\.0"):
+            G.evaluate(g, {"x": [2.0, 0.0], "y": -1.0})
+
+    def test_binding_checks_fire_on_later_calls(self):
+        g = beta_bernoulli_graph()
+        for _ in range(3):
+            assert G.evaluate(g, BB_ENV) == G.evaluate(g, BB_ENV)
+            with pytest.raises(GraphError,
+                               match="missing binding for input 'a'"):
+                G.evaluate(g, {k: v for k, v in BB_ENV.items() if k != "a"})
+            with pytest.raises(GraphError, match=r"input 'z' expects shape "
+                                                 r"\(\), got \(2,\)"):
+                G.evaluate(g, dict(BB_ENV, z=np.ones(2)))
+
+    def test_block_plan_checks_bindings(self):
+        fx = fixture("beta_bernoulli")
+        g = fx.graph()
+        block = complete_conditional(g, 0, fx.latents[0][1]).block
+        env = fx.example_args(0)
+        block.distribution(env)
+        with pytest.raises(GraphError, match="missing binding"):
+            block.distribution({k: v for k, v in env.items()
+                                if k != "n_heads"})
 
 
 class TestCSE:
