@@ -25,10 +25,7 @@ from .inference import (
     init_meanfield, make_gibbs, run_cavi, run_gibbs,
 )
 from .models import ModelFixture, fixture, fixtures
-from .pattern import (
-    Bind, Bindings, Choice, Const, OpPat, Pattern, Rule, Segment, Str, Val,
-    apply_rule, match_all, match_first,
-)
+from .pattern import Rule, apply_rule
 
 __version__ = "0.1.0"
 
@@ -44,6 +41,5 @@ __all__ = [
     "GibbsState", "MeanFieldState", "cavi_update", "elbo", "gibbs_sweep",
     "init_meanfield", "make_gibbs", "run_cavi", "run_gibbs",
     "ModelFixture", "fixture", "fixtures",
-    "Pattern", "OpPat", "Val", "Str", "Const", "Choice", "Segment", "Bind",
-    "Bindings", "Rule", "match_first", "match_all", "apply_rule",
+    "Rule", "apply_rule",
 ]

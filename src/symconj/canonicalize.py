@@ -12,10 +12,12 @@ The driver alternates two phases until a fixed point:
    collect like monomials (a scalar coefficient is set apart, so x - x
    cancels), add-trees flatten into right-leaning chains ordered by
    structural hash, and einsum index names are canonically renamed;
-2. a pattern-directed phase that fires the first matching log rule from
-   an ordered registry anywhere in the graph, searching from the output
-   (splitting logs of products, quotients, roots and powers), after which
-   the sweep runs again.
+2. a rule phase that fires the first matching log rule from an ordered
+   registry anywhere in the graph, searching from the output, after which
+   the sweep runs again. Each rule is a direct matcher of one log redex
+   with its rewriter: log of an einsum product of two or more operands
+   with no repeated or summed-out index, of a reciprocal, of a square
+   root, and of a power with a constant exponent.
 
 The fixed point is the canonical form: the output is an add-tree whose
 leaves are einsum monomials (or lone atoms/constants), each einsum
@@ -43,7 +45,7 @@ from .errors import (CanonicalizationError, GraphError, NonTerminationError,
 from .graph import (
     ConstNode, GraphBuilder, InputNode, PrimNode, TermGraph, espec,
 )
-from .pattern import Const, OpPat, Rule, Segment, Str, Val, apply_rule
+from .pattern import Rule, apply_rule
 from .tensor import INDEX_ALPHABET
 
 __all__ = ["CanonicalForm", "Monomial", "canonicalize", "is_canonical",
@@ -638,19 +640,7 @@ def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
 
 
 # ---------------------------------------------------------------------------
-# pattern rule registry
-
-
-def _is_splittable_product(formula):
-    spec = espec(formula)
-    if spec.operand_count < 2:
-        return False
-    for subs in spec.operand_subscripts:
-        if len(set(subs)) != len(subs):
-            return False
-        if any(c not in spec.output for c in subs):
-            return False
-    return True
+# log rule registry
 
 
 def _log_product_rewriter(b, gb):
@@ -675,27 +665,55 @@ def _log_product_rewriter(b, gb):
     return total
 
 
+def _log_of(op, bind):
+    """Matcher of ``log(op(...))``: ``bind(g, inner)`` gives the bindings
+    at the ``op`` node, or None when its operands do not fit the rule."""
+    def match(g, nid):
+        node = g.nodes[nid]
+        if not (isinstance(node, PrimNode) and node.op == "log"):
+            return None
+        inner = g.nodes[node.args[0]]
+        if not (isinstance(inner, PrimNode) and inner.op == op):
+            return None
+        return bind(g, inner)
+    return match
+
+
+def _bind_product(g, e):
+    """An einsum of two or more operands, none with a repeated or
+    summed-out index, is a broadcast product: its log splits."""
+    spec = espec(e.attrs[0])
+    if spec.operand_count < 2 or any(
+            len(set(subs)) != len(subs) or not set(subs) <= set(spec.output)
+            for subs in spec.operand_subscripts):
+        return None
+    return {"formula": e.attrs[0], "args": list(e.args)}
+
+
+def _bind_power(g, p):
+    if not isinstance(g.nodes[p.args[1]], ConstNode):
+        return None
+    return {"x": p.args[0], "c": p.args[1]}
+
+
+def _bind_x(g, node):
+    return {"x": node.args[0]}
+
+
 LOG_PRODUCT = Rule(
-    "log_product",
-    OpPat("log", [OpPat("einsum",
-                        [Str("formula", predicate=_is_splittable_product),
-                         Segment("args")])]),
-    _log_product_rewriter)
+    "log_product", _log_of("einsum", _bind_product), _log_product_rewriter)
 
 LOG_RECIPROCAL = Rule(
-    "log_reciprocal",
-    OpPat("log", [OpPat("reciprocal", [Val("x")])]),
+    "log_reciprocal", _log_of("reciprocal", _bind_x),
     lambda b, gb: gb.prim("negate", (gb.prim("log", (b["x"],)),)))
 
 LOG_SQRT = Rule(
-    "log_sqrt",
-    OpPat("log", [OpPat("sqrt", [Val("x")])]),
+    "log_sqrt", _log_of("sqrt", _bind_x),
     lambda b, gb: gb.prim("multiply",
                           (gb.constant(0.5), gb.prim("log", (b["x"],)))))
 
 LOG_POWER = Rule(
-    "log_power",
-    OpPat("log", [OpPat("power", [Val("x"), Const(name="c")])]),
+    "log_power", _log_of("power", _bind_power),
     lambda b, gb: gb.prim("multiply", (b["c"], gb.prim("log", (b["x"],)))))
 
 REGISTRY = (LOG_PRODUCT, LOG_RECIPROCAL, LOG_SQRT, LOG_POWER)
@@ -706,11 +724,18 @@ REGISTRY = (LOG_PRODUCT, LOG_RECIPROCAL, LOG_SQRT, LOG_POWER)
 
 
 def _add_leaves(g, root):
-    """Monomial roots: leaves of the maximal add-tree at the output."""
-    node = g.nodes[root]
-    if isinstance(node, PrimNode) and node.op == "add":
-        return (_add_leaves(g, node.args[0]) + _add_leaves(g, node.args[1]))
-    return [root]
+    """Monomial roots: leaves of the maximal add-tree at ``root``, left to
+    right."""
+    leaves = []
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        node = g.nodes[i]
+        if isinstance(node, PrimNode) and node.op == "add":
+            stack.extend(node.args[::-1])
+        else:
+            leaves.append(i)
+    return leaves
 
 
 def is_canonical(g: TermGraph) -> bool:

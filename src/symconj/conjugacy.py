@@ -267,7 +267,8 @@ def extract_natural_parameters(energy, stat_names: dict, var: str):
         if len(held) > 1 or held[0] not in own:
             raise NonMultiaffineError(
                 f"log density is not multiaffine in the statistics of "
-                f"{var!r}: one monomial holds {_held(energy, held, own)}")
+                f"{var!r}: one monomial, {G.render(energy, root)}, holds "
+                f"{_held(energy, held, own)}")
         if is_einsum:
             args = [G.rebuild(gb, energy, a, memo) for a in node.args]
             parts[own[held[0]]].append(G._einsum_vjp(

@@ -30,10 +30,6 @@ class NonDifferentiableError(GraphError):
     """A gradient path crosses a primitive with no derivative rule."""
 
 
-class PatternError(SymconjError):
-    """Malformed pattern (e.g. a Segment outside an argument list)."""
-
-
 class RuleApplicationError(SymconjError):
     """A rewriter produced a subgraph violating the matched node's contract."""
 

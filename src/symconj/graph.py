@@ -157,7 +157,8 @@ def _infer_shape(op, attrs, arg_shapes):
 
 
 def _power(x, y):
-    out = np.power(x, y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.power(x, y)
     finite = np.isfinite(out)
     if not tensor.all_true(finite):
         i = int(np.flatnonzero(~finite)[0])

@@ -164,14 +164,24 @@ def _logistic(x):
     return _special.expit(x)
 
 
-# name -> (kernel, domain predicate or None)
+def _quiet(kernel):
+    """The kernel with numpy's overflow warning silenced: the overflow
+    gives inf, which the finiteness check then raises on."""
+    def run(x):
+        with np.errstate(over="ignore"):
+            return kernel(x)
+    return run
+
+
+# name -> (kernel, domain predicate or None); only the kernels that numpy
+# warns on when they overflow are quieted
 UNARY_FNS = {
     "log": (np.log, lambda x: x > 0),
     "log1p": (np.log1p, lambda x: x > -1),
-    "exp": (np.exp, None),
+    "exp": (_quiet(np.exp), None),
     "sqrt": (np.sqrt, lambda x: x >= 0),
-    "square": (np.square, None),
-    "reciprocal": (lambda x: 1.0 / x, lambda x: x != 0),
+    "square": (_quiet(np.square), None),
+    "reciprocal": (_quiet(lambda x: 1.0 / x), lambda x: x != 0),
     "logistic": (_logistic, None),
     "log_gamma": (_special.gammaln, lambda x: x > 0),
     "digamma": (_special.psi, lambda x: x > 0),
@@ -198,8 +208,7 @@ def unary_kernel(fn: str) -> Callable:
             ok = domain(x)
             if not all_true(ok):
                 _check_domain(fn, x, ok)
-        with np.errstate(over="ignore"):
-            out = kernel(x)
+        out = kernel(x)
         finite = np.isfinite(out)
         if not all_true(finite):
             _check_domain(fn, x, finite)

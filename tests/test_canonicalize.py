@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from symconj import graph as G
-from symconj.canonicalize import canonicalize, is_canonical, local_simplify
+from symconj.canonicalize import (
+    LOG_POWER, LOG_PRODUCT, LOG_RECIPROCAL, LOG_SQRT, REGISTRY, canonicalize,
+    is_canonical, local_simplify,
+)
 from symconj.errors import (
     CanonicalizationError, NonTerminationError, NumericDomainError,
 )
@@ -158,6 +161,91 @@ class TestCanonicalize:
         a = G.dump(canonicalize(g).graph, "text")
         b = G.dump(canonicalize(fixture("gmm").graph()).graph, "text")
         assert a == b
+
+    def test_long_add_spine(self):
+        # square(x0 + ... + x49) has 50 * 51 / 2 monomials, an add spine
+        # longer than the interpreter's recursion limit
+        gb = G.GraphBuilder()
+        xs = [gb.input(f"x{i}", ()) for i in range(50)]
+        s = xs[0]
+        for x in xs[1:]:
+            s = gb.prim("add", (s, x))
+        g = gb.finish(gb.prim("square", (s,)))
+        cf = canonicalize(g)
+        assert len(cf.monomials) == 1275
+        rng = np.random.default_rng(0)
+        env = {f"x{i}": rng.standard_normal() for i in range(50)}
+        assert env_scale_err(g, cf.graph, env) < 1e-12
+
+
+# the log rules each fixture fires, in order
+FIRING_LOGS = {
+    "beta_bernoulli": [],
+    "normal_gamma": ["log_reciprocal", "log_reciprocal", "log_sqrt",
+                     "log_sqrt", "log_product"],
+    "logistic_jj": [],
+    "kalman": [],
+    "factor_analysis": [],
+    "gmm": [],
+    "poly_stress": [],
+    "log_stress": ["log_product", "log_reciprocal", "log_sqrt", "log_power"],
+    "share_stress": [],
+    "contract_stress": [],
+}
+
+
+def log_graph(inner_op, shapes, attrs=()):
+    """log(inner_op(a0, a1, ...)) over NONNEGATIVE inputs of the shapes."""
+    gb = G.GraphBuilder()
+    args = [gb.input(f"a{j}", s, "NONNEGATIVE") for j, s in enumerate(shapes)]
+    inner = gb.prim(inner_op, args, attrs)
+    top = gb.prim("log", (inner,))
+    return gb.finish(G.sum_all(top)), top.nid, [a.nid for a in args]
+
+
+class TestLogRules:
+    @pytest.mark.parametrize("name", [f.name for f in fixtures()])
+    def test_fixture_firing_log_is_pinned(self, name):
+        fired = []
+        canonicalize(fixture(name).graph(), firing_log=fired)
+        assert fired == FIRING_LOGS[name]
+
+    @pytest.mark.parametrize("rule, inner_op, shapes, attrs, want", [
+        (LOG_PRODUCT, "einsum", [(2,), (3,)], ("i,j->ij",),
+         lambda a: {"formula": "i,j->ij", "args": [a[0], a[1]]}),
+        (LOG_RECIPROCAL, "reciprocal", [(2,)], (), lambda a: {"x": a[0]}),
+        (LOG_SQRT, "sqrt", [(2,)], (), lambda a: {"x": a[0]}),
+    ], ids=["log_product", "log_reciprocal", "log_sqrt"])
+    def test_matcher_binds_operands(self, rule, inner_op, shapes, attrs,
+                                    want):
+        g, top, args = log_graph(inner_op, shapes, attrs)
+        assert rule.match(g, top) == want(args)
+        assert [r.match(g, top) is None for r in REGISTRY].count(False) == 1
+
+    def test_log_power_binds_base_and_constant_exponent(self):
+        gb = G.GraphBuilder()
+        x = gb.input("x", (2,), "NONNEGATIVE")
+        c = gb.constant(1.5)
+        top = gb.prim("log", (gb.prim("power", (x, c)),))
+        g = gb.finish(G.sum_all(top))
+        assert LOG_POWER.match(g, top.nid) == {"x": x.nid, "c": c.nid}
+
+    # each graph is one step from a log redex and must fire no rule
+    @pytest.mark.parametrize("inner_op, shapes, attrs", [
+        ("einsum", [(2, 2), (2,)], ("ii,i->i",)),
+        ("einsum", [(2, 3), (3,)], ("ij,j->i",)),
+        ("power", [(2,), (2,)], ()),
+        ("add", [(2,), (2,)], ()),
+    ], ids=["repeated_letter", "summed_out_letter", "variable_exponent",
+            "log_of_add"])
+    def test_near_miss_fires_no_rule(self, inner_op, shapes, attrs):
+        g, top, _ = log_graph(inner_op, shapes, attrs)
+        assert all(rule.match(g, top) is None for rule in REGISTRY)
+        fired = []
+        cf = canonicalize(g, firing_log=fired)
+        assert fired == []
+        env = {f"a{j}": np.full(s, 0.5 + j) for j, s in enumerate(shapes)}
+        assert env_scale_err(g, cf.graph, env) < 1e-12
 
 
 # C05's generator, rng seed 0, 330th graph checked: (y**2 + 0.1)**12 with

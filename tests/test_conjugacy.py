@@ -136,8 +136,11 @@ class TestExtraction:
         def model(z, c):
             return c * z * G.log(z)
         g = G.build(model, [("z", (), "NONNEGATIVE"), ("c", ())])
-        with pytest.raises(NonMultiaffineError, match="identity and log"):
+        with pytest.raises(NonMultiaffineError,
+                           match="identity and log") as exc:
             complete_conditional(g, 0, SupportType.NONNEGATIVE)
+        assert ("one monomial, einsum(_stat_z_log, c, _stat_z_identity), "
+                "holds identity and log" in str(exc.value))
 
 
 class TestCompleteConditional:

@@ -258,12 +258,38 @@ class TestEvalPlan:
         with pytest.raises(NumericDomainError, match="exp: .*flat index 0"):
             G.evaluate(g, {"x": 1000.0})
 
+    # per op, arguments whose second element makes the result non-finite;
+    # a kernel that overflows must raise without numpy warning first
+    NON_FINITE = {
+        "log": [np.inf], "log1p": [np.inf], "exp": [1000.0],
+        "sqrt": [np.inf], "square": [1e200], "reciprocal": [1e-320],
+        "logistic": [np.nan], "log_gamma": [1e308], "digamma": [np.inf],
+        "negate": [np.inf], "power/divide": [0.0, -1.0],
+        "power/overflow": [10.0, 1000.0], "power/invalid": [-1.0, 0.5],
+    }
+
+    def test_non_finite_table_covers_every_unary_op(self):
+        assert set(G.UNARY_OPS) <= set(self.NON_FINITE)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_result_raises_without_warning(self, case):
+        gb = G.GraphBuilder()
+        bad = self.NON_FINITE[case]
+        args = [gb.input(f"a{j}", (2,)) for j in range(len(bad))]
+        g = gb.finish(gb.prim(case.split("/")[0], args), scalar=False)
+        env = {f"a{j}": [0.5, v] for j, v in enumerate(bad)}
+        with pytest.raises(NumericDomainError, match="flat index 1") as exc:
+            G.evaluate(g, env)
+        assert exc.type is NumericDomainError
+
+    @pytest.mark.filterwarnings("error")
     def test_power_non_finite_result_names_flat_index(self):
         g = G.build(lambda x, y: x ** y, [("x", (2,)), ("y", ())],
                     scalar=False)
         assert np.array_equal(G.evaluate(g, {"x": [2.0, 4.0], "y": -1.0}),
                               [0.5, 0.25])
-        with np.errstate(divide="ignore"), pytest.raises(
+        with pytest.raises(
                 NumericDomainError,
                 match=r"power: non-finite result at flat index 1 "
                       r"\(value .*0\.0\).* \*\* .*-1\.0"):
