@@ -29,7 +29,9 @@ eta graphs) per target. The three user-facing transforms are views of it:
   to a Distribution for the target variable;
 * :func:`marginalize` rebuilds the log density with the target integrated
   out, as g0 + A(eta) where g0 sums the energy monomials that hold none
-  of the block's statistics, and re-canonicalizes so transforms compose.
+  of the block's statistics. Each graph object keeps its canonical form,
+  and a marginal is born with it, so transforms compose without
+  canonicalizing one graph twice.
 
 Both hand the family one parameter per discovered statistic, as is; the
 family pads and folds them (see :mod:`expfam`). Atoms matching no
@@ -239,16 +241,18 @@ def _held(g, held, own):
     return " and ".join(sorted(map(name, held)))
 
 
-def extract_natural_parameters(energy, stat_names: dict, var: str):
-    """Natural parameter graphs of one variable's statistic inputs (named
-    per descriptor in ``stat_names``), read off the energy's monomials.
+def extract_natural_parameters(energy, stats: StatisticSet, others=()):
+    """Natural parameter graphs of the statistics ``stats`` of one
+    variable, read off the monomials of the energy holding them.
 
     The parameter of statistic t is the sum, over the monomials holding t,
     of the monomial's vector-Jacobian product at t, simplified once: the
     coefficient t carries, which is the energy's gradient with respect to
     t. Raises :class:`NonMultiaffineError` unless every monomial holds at
-    most one of the variable's statistics, as a direct einsum operand.
+    most one of the variable's statistics, as a direct einsum operand, and
+    then names the inputs of ``stats`` and ``others`` by their statistics.
     """
+    stat_names = {d: _stat_input_name(stats.var, d) for d in stats.graphs}
     own = {energy.input_id(name): desc for desc, name in stat_names.items()}
     dep = energy.depends_on(own)
     gb = GraphBuilder(dedup=True)
@@ -265,9 +269,12 @@ def extract_natural_parameters(energy, stat_names: dict, var: str):
         is_einsum = isinstance(node, PrimNode) and node.op == "einsum"
         held = [a for a in node.args if dep[a]] if is_einsum else [root]
         if len(held) > 1 or held[0] not in own:
+            shown = {_stat_input_name(s.var, d): G.render(sg, sg.output)
+                     for s in (stats, *others) for d, sg in s.graphs.items()}
             raise NonMultiaffineError(
                 f"log density is not multiaffine in the statistics of "
-                f"{var!r}: one monomial, {G.render(energy, root)}, holds "
+                f"{stats.var!r}: one monomial, "
+                f"{G.render(energy, root, shown)}, holds "
                 f"{_held(energy, held, own)}")
         if is_einsum:
             args = [G.rebuild(gb, energy, a, memo) for a in node.args]
@@ -298,9 +305,9 @@ def _check_support_tag(g, var, support):
 
 def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
     """The one conjugacy analysis behind the three transforms: canonicalize
-    once, walk the energy once per target to put inputs in place of its
-    statistics and match its family, then read each target's natural
-    parameters off the energy's monomials."""
+    once per graph object, walk the energy once per target to put inputs in
+    place of its statistics and match its family, then read each target's
+    natural parameters off the energy's monomials."""
     names = log_joint.input_names
     if ((np.ndim(argnums), np.ndim(supports)) != (1, 1)
             or len(argnums) != len(supports)):
@@ -319,7 +326,9 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
         _check_support_tag(log_joint, names[argnum], support)
         targets.append((names[argnum], support))
 
-    energy = canonicalize(log_joint).graph
+    if log_joint._canonical is None:  # kept for the graph's next transform
+        log_joint._canonical = canonicalize(log_joint)
+    energy = log_joint._canonical.graph
     found = []
     for var, support in targets:
         stats, energy = find_sufficient_statistics(energy, var)
@@ -332,13 +341,13 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
 
     blocks = []
     for (var, support), (stats, family) in zip(targets, found):
-        inputs = {d: _stat_input_name(var, d) for d in stats.graphs}
-        etas = extract_natural_parameters(energy, inputs, var)
+        etas = extract_natural_parameters(energy, stats,
+                                          [s for s, _ in found])
         blocks.append(LatentBlock(
             name=var, support=support, family=family,
             shape=log_joint.shapes[log_joint.input_id(var)],
             stats=tuple(StatEntry(
-                descriptor=d, input_name=inputs[d],
+                descriptor=d, input_name=_stat_input_name(var, d),
                 shape=sg.shapes[sg.output], stat_graph=sg,
                 eta_graph=etas[d]) for d, sg in stats.graphs.items())))
     latents = {var for var, _ in targets}
@@ -396,7 +405,7 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
     Uses the multiaffine split g = g0 + <eta, t(z)>: the result is
     g0 + A(eta), where g0 sums the energy monomials that hold none of the
     block's statistics and A is the matched family's log-normalizer graph,
-    re-canonicalized so it can feed back into the transforms.
+    canonicalized and carrying its canonical form into the next transform.
     """
     mr = _analyze(log_joint, [argnum], [support])
     (blk,) = mr.blocks
@@ -414,8 +423,9 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
     out = blk.family.lognorm_graph(gb, eta_handles)
     for h in g0:
         out = gb.prim("add", (h, out))
-    marginal = gb.finish(out, scalar=True)
-    return canonicalize(marginal).graph
+    form = canonicalize(gb.finish(out, scalar=True))
+    form.graph._canonical = form  # re-canonicalizing gives an equal graph
+    return form.graph
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,7 @@ class TermGraph:
         self.output = output
         self._hashes = None
         self._plan = None
+        self._canonical = None  # its CanonicalForm, kept by conjugacy
 
     def __len__(self):
         return len(self.nodes)
@@ -982,17 +983,18 @@ def dump(g: TermGraph, format: str = "text") -> str:
     raise GraphError(f"unknown dump format {format!r}")
 
 
-def render(g: TermGraph, nid: int) -> str:
+def render(g: TermGraph, nid: int, names=None) -> str:
     """The expression computed at node ``nid`` as one line: inputs by
-    name, scalar constants by value, primitives as ``op(args)``."""
+    name, or by their text in ``names`` (input name -> text), scalar
+    constants by value, primitives as ``op(args)``."""
     node = g.nodes[nid]
     if isinstance(node, InputNode):
-        return node.name
+        return (names or {}).get(node.name, node.name)
     if isinstance(node, ConstNode):
         v = node.value
         return format(float(v), "g") if v.shape == () else (
             f"const{_shape_token(v.shape)}")
-    return f"{node.op}({', '.join(render(g, a) for a in node.args)})"
+    return f"{node.op}({', '.join(render(g, a, names) for a in node.args)})"
 
 
 def _labels(g):

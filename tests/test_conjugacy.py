@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from symconj import conjugacy, models
 from symconj import graph as G
 from symconj.canonicalize import canonicalize, normalize_graph
 from symconj.conjugacy import (
@@ -9,7 +12,8 @@ from symconj.conjugacy import (
     find_sufficient_statistics, marginalize, multilinear_repr,
 )
 from symconj.errors import (
-    ConjugacyError, NonMultiaffineError, UnknownFamilyError,
+    CanonicalizationError, ConjugacyError, NonMultiaffineError,
+    UnknownFamilyError,
 )
 from symconj.expfam import SupportType
 from symconj.graph import ConstNode, InputNode
@@ -25,11 +29,6 @@ def bb_graph():
 
 
 BB_REST = dict(n_heads=60.0, n_draws=100.0, prior_a=0.5, prior_b=0.5)
-
-
-def stat_inputs(stats):
-    """Descriptor -> name of the energy input standing for the statistic."""
-    return {d: f"_stat_{stats.var}_{d}" for d in stats.graphs}
 
 
 class TestDiscovery:
@@ -104,7 +103,7 @@ class TestExtraction:
                     [("c", (3,)), ("t", (3,), "REAL")])
         cf = canonicalize(g)
         stats, energy = find_sufficient_statistics(cf, "t")
-        etas = extract_natural_parameters(energy, stat_inputs(stats), "t")
+        etas = extract_natural_parameters(energy, stats)
         out = G.evaluate(etas["identity"], {"c": [1.0, 2.0, 3.0]})
         assert np.array_equal(out, [1, 2, 3])
 
@@ -125,7 +124,7 @@ class TestExtraction:
         for var in ("t", "u", "v"):
             cf = canonicalize(g)
             stats, energy = find_sufficient_statistics(cf, var)
-            etas = extract_natural_parameters(energy, stat_inputs(stats), var)
+            etas = extract_natural_parameters(energy, stats)
             eta = G.evaluate(etas["identity"], env)
             fd = central_diff(
                 lambda x: float(G.evaluate(g, dict(env, **{var: x}))),
@@ -139,8 +138,21 @@ class TestExtraction:
         with pytest.raises(NonMultiaffineError,
                            match="identity and log") as exc:
             complete_conditional(g, 0, SupportType.NONNEGATIVE)
-        assert ("one monomial, einsum(_stat_z_log, c, _stat_z_identity), "
-                "holds identity and log" in str(exc.value))
+        assert str(exc.value) == (
+            "log density is not multiaffine in the statistics of 'z': one "
+            "monomial, einsum(log(z), c, z), holds identity and log")
+
+    def test_non_multiaffine_names_other_targets_atoms(self):
+        # the joint analysis has put w's statistic input into the energy
+        # too; the error names it by its statistic, w
+        def model(z, w, c):
+            return c * w * z * G.log(z)
+        g = G.build(model, [("z", (), "NONNEGATIVE"), ("w", (), "REAL"),
+                            ("c", ())])
+        with pytest.raises(NonMultiaffineError) as exc:
+            multilinear_repr(g, [0, 1], ["NONNEGATIVE", "REAL"])
+        assert "one monomial, einsum(log(z), c, w, z), holds" in str(
+            exc.value)
 
 
 class TestCompleteConditional:
@@ -609,3 +621,96 @@ class TestGradientOracle:
                         scale = max(1.0, float(np.abs(want).max()))
                         assert np.abs(got - want).max() <= 1e-12 * scale, (
                             name, blk.name, s.descriptor, seed)
+
+
+class TestCanonicalMemo:
+    """The transforms canonicalize each graph object once between them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = conjugacy.canonicalize
+
+        def counted(g, *args, **kwargs):
+            seen.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(conjugacy, "canonicalize", counted)
+        return seen
+
+    def test_deriving_gmm_canonicalizes_its_log_joint_once(self, calls):
+        fx = fixture("gmm")
+        g = fx.graph()
+        assert len(fx.latents) == 4
+        for argnum, support in fx.latents:
+            complete_conditional(g, argnum, support)
+        for argnum, support in fx.latents:
+            marginalize(g, argnum, support)
+        multilinear_repr(g, [a for a, _ in fx.latents],
+                         [s for _, s in fx.latents])
+        # the log joint once, then each marginal's own canonical form
+        assert len(calls) == 1 + 4
+        assert calls[0] is g and all(c is not g for c in calls[1:])
+
+    def test_marginal_carries_its_canonical_form(self, calls):
+        g = models._kalman_step_graph()
+        step = marginalize(g, 0, SupportType.REAL)
+        marginalize(step, 0, SupportType.REAL)
+        complete_conditional(step, 0, SupportType.REAL)
+        # the step graph, then each marginal as built, before its form
+        assert len(calls) == 3 and calls[0] is g
+        assert all(c is not step for c in calls)
+
+    def test_support_tag_warning_on_every_call(self):
+        def model(z, a, b):
+            return (a - 1.0) * G.log(z) - b * z
+
+        g = G.build(model, [("z", (), "REAL"), ("a", ()), ("b", ())])
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="support tag") as w:
+                complete_conditional(g, 0, SupportType.NONNEGATIVE)
+            assert w[0].filename == __file__
+
+    def test_family_errors_on_every_call(self):
+        unknown = G.build(lambda z, c: -0.5 * G.square(z)
+                          + G.log1p(G.exp(z * c)), [("z", (), "REAL"),
+                                                    ("c", ())])
+        coupled = G.build(lambda z, c: c * z * G.log(z),
+                          [("z", (), "NONNEGATIVE"), ("c", ())])
+        for _ in range(2):
+            with pytest.raises(UnknownFamilyError):
+                complete_conditional(unknown, 0, SupportType.REAL)
+            with pytest.raises(NonMultiaffineError):
+                complete_conditional(coupled, 0, SupportType.NONNEGATIVE)
+
+    def test_failed_canonicalization_is_not_memoized(self, calls):
+        gb = G.GraphBuilder()
+        g = gb.finish(gb.input("z", (3,), "REAL"))  # not a scalar density
+        for _ in range(2):
+            with pytest.raises(CanonicalizationError, match="scalar output"):
+                complete_conditional(g, 0, SupportType.REAL)
+        assert calls == [g, g]
+
+    def test_canonical_form_is_frozen(self):
+        cf = canonicalize(bb_graph())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cf.graph = None
+
+
+class TestMarginalIsCanonicalFixedPoint:
+    """A marginal may carry its own canonical form because canonicalizing
+    it again gives an equal graph."""
+
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_reference_marginals(self, name):
+        fx = fixture(name)
+        g = fx.graph()
+        for argnum, support in fx.latents:
+            m = marginalize(g, argnum, support)
+            assert G.graph_equal(canonicalize(m).graph, m), (name, argnum)
+
+    def test_kalman_step_marginals(self):
+        step = marginalize(models._kalman_step_graph(), 0, SupportType.REAL)
+        evidence = marginalize(step, 0, SupportType.REAL)
+        for m in (step, evidence):
+            assert G.graph_equal(canonicalize(m).graph, m)
