@@ -12,10 +12,7 @@ from .conjugacy import (
     find_sufficient_statistics, extract_natural_parameters, marginalize,
     multilinear_repr,
 )
-from .expfam import (
-    Distribution, SupportType, log_normalizer, log_prob, mean_params,
-    register_builtin_families, sample,
-)
+from .expfam import Distribution, SupportType, register_builtin_families
 from .graph import (
     ExprHandle, GraphBuilder, TermGraph, build, cse, dump, evaluate, grad,
     parse, splice, subgraph,
@@ -34,8 +31,7 @@ __all__ = [
     "ConditionalFactory", "MultilinearRepr", "StatisticSet",
     "complete_conditional", "find_sufficient_statistics",
     "extract_natural_parameters", "marginalize", "multilinear_repr",
-    "Distribution", "SupportType", "log_normalizer", "log_prob",
-    "mean_params", "register_builtin_families", "sample",
+    "Distribution", "SupportType", "register_builtin_families",
     "ExprHandle", "GraphBuilder", "TermGraph", "build", "cse", "dump",
     "evaluate", "grad", "parse", "splice", "subgraph",
     "GibbsState", "MeanFieldState", "cavi_update", "elbo", "gibbs_sweep",

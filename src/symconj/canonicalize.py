@@ -137,13 +137,12 @@ class _LazySum:
     where ``whole`` is a known handle of the product or None; a leaf whose
     multiplicity reaches zero leaves it."""
 
-    __slots__ = ("counts", "const", "shape", "realized")
+    __slots__ = ("counts", "const", "shape")
 
     def __init__(self, shape):
         self.counts = {}
         self.const = None
         self.shape = tuple(shape)
-        self.realized = None
 
     def add_leaf(self, h, k, whole=None):
         old = self.counts.get(h.nid)
@@ -479,19 +478,15 @@ class _Simplifier:
         return h, 1.0
 
     def _power_factors(self, base, e):
-        """Scalar factors realizing base**e after exponent collection."""
-        if e == 0:
-            return []
+        """Factors whose product is base**e: the base or its reciprocal
+        |e| times, a (reciprocal) square root, or one power atom."""
         if e == round(e):
             n = int(round(e))
-            if n > 0:
-                return [base] * n
-            rec = self.gb.prim("reciprocal", (base,))
-            return [rec] * (-n)
-        if e == 0.5:
-            return [self.gb.prim("sqrt", (base,))]
-        if e == -0.5:
-            return [self.gb.prim("reciprocal", (self.gb.prim("sqrt", (base,)),))]
+            return ([base] * n if n >= 0
+                    else [self.emit("reciprocal", (), [base])] * -n)
+        if abs(e) == 0.5:
+            root = self.emit("sqrt", (), [base])
+            return [root if e > 0 else self.emit("reciprocal", (), [root])]
         return [self.gb.prim("power", (base, self.const(float(e))))]
 
     # -- add flattening ----------------------------------------------------
@@ -533,8 +528,6 @@ class _Simplifier:
     def realize(self, x):
         if not isinstance(x, _LazySum):
             return x
-        if x.realized is not None:
-            return x.realized
         terms = [h if k == 1.0 else self.scale(k, h) for h, k in x.terms()]
         if x.const is not None and np.any(x.const):
             terms.append(self.const(x.const))
@@ -547,7 +540,6 @@ class _Simplifier:
                 acc = self.gb.prim("add", (h, acc))
             if tuple(acc.shape) != x.shape:  # broadcasting multiplies out
                 acc = self.realize(self.broadcast(acc, x.shape))
-        x.realized = acc
         return acc
 
     # -- per-node emission -------------------------------------------------
@@ -576,22 +568,15 @@ class _Simplifier:
         if op == "square":
             return self.ew_product([args[0], args[0]])
         if op == "power":
+            # a constant exponent: 0 gives ones, an integer beyond ±8 stays
+            # an atom, the rest goes the way of a collected exponent
             exp_node = self.node(args[1])
             if isinstance(exp_node, ConstNode) and exp_node.value.shape == ():
                 c = float(exp_node.value)
-                if c == round(c) and -8 <= c <= 8:
-                    n = int(round(c))
-                    if n == 0:
-                        return self.const(np.ones(args[0].shape))
-                    if n > 0:
-                        return self.ew_product([args[0]] * n)
-                    inv = self.emit("reciprocal", (), [args[0]])
-                    return self.ew_product([inv] * (-n))
-                if c == 0.5:
-                    return self.emit("sqrt", (), [args[0]])
-                if c == -0.5:
-                    return self.emit(
-                        "reciprocal", (), [self.emit("sqrt", (), [args[0]])])
+                if c == 0:
+                    return self.const(np.ones(args[0].shape))
+                if c != round(c) or -8 <= c <= 8:
+                    return self.ew_product(self._power_factors(args[0], c))
             return self.gb.prim("power", args)
         if op == "sum_axis":
             rank = len(args[0].shape)
@@ -625,8 +610,6 @@ def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
             continue
         if isinstance(node, ConstNode):
             memo[i] = s.const(node.value)
-        elif isinstance(node, InputNode):
-            memo[i] = s.gb.input(node.name, node.shape, node.support)
         else:
             try:
                 memo[i] = s.emit(node.op, node.attrs,

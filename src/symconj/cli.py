@@ -255,7 +255,6 @@ def _check_expfam(report):
         ok = True
         for _ in range(5):
             nat = make()
-            stats_of = fam.statistic_values
             def dens(z):
                 return float(np.exp(fam.log_prob(nat, np.asarray(z))))
             total, _err = integrate.quad(dens, *bounds)

@@ -387,9 +387,6 @@ class ConditionalFactory:
                 f"arguments {self.arg_names}, got {len(args)}")
         return self.from_env(dict(zip(self.arg_names, args)))
 
-    def describe(self, *args) -> str:
-        return self(*args).describe()
-
 
 def complete_conditional(log_joint: TermGraph, argnum: int, support
                          ) -> ConditionalFactory:

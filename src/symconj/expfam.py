@@ -27,6 +27,11 @@ Each family writes A once, for arrays (the run phase) and graph handles
 argument's type picks the functions it calls (:func:`_fns`). Only the
 multivariate normal keeps a second, graph-only A.
 
+The support checks and the array statistics are two tables, keyed by
+support and by descriptor; Categorical adds its class-count check and its
+``one_hot`` statistic. :meth:`FamilyRegistry.lookup` returns the first
+family on the support that accepts every discovered statistic.
+
 Elementwise families treat every element of a tensor-shaped variable as
 one batched distribution with independent components. Samplers are
 implemented from seeded uniform/normal draws only (Marsaglia-Tsang for
@@ -51,7 +56,6 @@ from .tensor import INDEX_ALPHABET, one_hot as one_hot_value
 
 __all__ = [
     "SupportType", "FamilySpec", "Distribution", "register_builtin_families",
-    "log_normalizer", "mean_params", "sample", "log_prob",
     "DESCRIPTORS",
 ]
 
@@ -67,6 +71,29 @@ class SupportType(enum.Enum):
     SIMPLEX = "SIMPLEX"
     INTEGER = "INTEGER"
     BINARY = "BINARY"
+
+
+# support -> (test on the values, what every value must be)
+_SUPPORT_CHECKS = {
+    SupportType.BINARY: (lambda v: np.all((v == 0) | (v == 1)), "be 0 or 1"),
+    SupportType.INTEGER: (lambda v: np.all(np.round(v) == v), "be integers"),
+    SupportType.UNIT_INTERVAL: (lambda v: np.all((v > 0) & (v < 1)),
+                                "lie strictly inside (0, 1)"),
+    SupportType.NONNEGATIVE: (lambda v: np.all(v > 0), "be positive"),
+    SupportType.SIMPLEX: (lambda v: np.all(v > 0) and np.allclose(
+        np.sum(v, axis=-1), 1.0), "lie in the open simplex"),
+    SupportType.REAL: (lambda v: np.all(np.isfinite(v)), "be finite"),
+}
+
+# descriptor -> its statistic of an array of values; one_hot also needs
+# the class count (CategoricalFamily.statistic_values)
+_STATISTICS = {
+    "identity": lambda v: v,
+    "square": lambda v: v * v,
+    "outer": lambda v: np.einsum("...i,...j->...ij", v, v),
+    "log": np.log,
+    "log1p_neg": lambda v: np.log1p(-v),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +234,9 @@ class FamilySpec:
         raise NotImplementedError
 
     def statistic_values(self, value) -> dict:
-        raise NotImplementedError
+        v = np.asarray(value, dtype=np.float64)
+        return {d: _STATISTICS[d](v) for d in DESCRIPTORS
+                if d in self.signature}
 
     def dot_nat_stats(self, nat: dict, stats: dict) -> np.ndarray:
         """<eta, t(x)> aggregated to one value per batch element."""
@@ -226,7 +255,9 @@ class FamilySpec:
         return self.dot_nat_stats(nat, stats) - self.log_normalizer(nat)
 
     def check_support(self, value) -> None:
-        raise NotImplementedError
+        test, must = _SUPPORT_CHECKS[self.support]
+        if not test(np.asarray(value)):
+            raise SupportError(f"{self.name} values must {must}")
 
     def to_standard(self, nat: dict) -> dict:
         raise NotImplementedError
@@ -272,14 +303,6 @@ class BernoulliFamily(FamilySpec):
     def sample(self, nat, rng):
         p = sp.expit(nat["identity"])
         return (rng.random(p.shape) < p).astype(np.float64)
-
-    def statistic_values(self, value):
-        return {"identity": np.asarray(value, dtype=np.float64)}
-
-    def check_support(self, value):
-        v = np.asarray(value)
-        if not np.all((v == 0) | (v == 1)):
-            raise SupportError("Bernoulli values must be 0 or 1")
 
     def to_standard(self, nat):
         return {"prob": sp.expit(nat["identity"])}
@@ -327,9 +350,8 @@ class CategoricalFamily(FamilySpec):
         return np.sum(nat["one_hot"] * oh, axis=-1) - self.log_normalizer(nat)
 
     def check_support(self, value, depth=None):
+        super().check_support(value)
         v = np.asarray(value)
-        if not np.all(np.round(v) == v):
-            raise SupportError("Categorical values must be integers")
         if depth is not None and v.size and (v.min() < 0 or v.max() >= depth):
             raise SupportError(f"Categorical values must lie in [0, {depth})")
 
@@ -365,15 +387,6 @@ class BetaFamily(FamilySpec):
     def sample(self, nat, rng):
         return _beta_sample(rng, nat["log"] + 1.0, nat["log1p_neg"] + 1.0)
 
-    def statistic_values(self, value):
-        v = np.asarray(value, dtype=np.float64)
-        return {"log": np.log(v), "log1p_neg": np.log1p(-v)}
-
-    def check_support(self, value):
-        v = np.asarray(value)
-        if not np.all((v > 0) & (v < 1)):
-            raise SupportError("Beta values must lie strictly inside (0, 1)")
-
     def to_standard(self, nat):
         return {"a": nat["log"] + 1.0, "b": nat["log1p_neg"] + 1.0}
 
@@ -407,14 +420,6 @@ class GammaFamily(FamilySpec):
     def sample(self, nat, rng):
         return _gamma_sample(rng, nat["log"] + 1.0, -nat["identity"])
 
-    def statistic_values(self, value):
-        v = np.asarray(value, dtype=np.float64)
-        return {"identity": v, "log": np.log(v)}
-
-    def check_support(self, value):
-        if not np.all(np.asarray(value) > 0):
-            raise SupportError("Gamma values must be positive")
-
     def to_standard(self, nat):
         return {"shape": nat["log"] + 1.0, "rate": -nat["identity"]}
 
@@ -447,14 +452,6 @@ class DirichletFamily(FamilySpec):
 
     def sample(self, nat, rng):
         return _dirichlet_sample(rng, nat["log"] + 1.0)
-
-    def statistic_values(self, value):
-        return {"log": np.log(np.asarray(value, dtype=np.float64))}
-
-    def check_support(self, value):
-        v = np.asarray(value)
-        if not (np.all(v > 0) and np.allclose(np.sum(v, axis=-1), 1.0)):
-            raise SupportError("Dirichlet values must lie in the open simplex")
 
     def to_standard(self, nat):
         return {"alpha": nat["log"] + 1.0}
@@ -492,14 +489,6 @@ class NormalFamily(FamilySpec):
         std = self.to_standard(nat)
         return std["mean"] + std["sd"] * rng.standard_normal(
             np.asarray(std["mean"]).shape)
-
-    def statistic_values(self, value):
-        v = np.asarray(value, dtype=np.float64)
-        return {"identity": v, "square": v * v}
-
-    def check_support(self, value):
-        if not np.all(np.isfinite(np.asarray(value))):
-            raise SupportError("Normal values must be finite")
 
     def to_standard(self, nat):
         e1, e2 = nat["identity"], nat["square"]
@@ -584,18 +573,10 @@ class MultivariateNormalFamily(FamilySpec):
         eps = rng.standard_normal(m.shape)
         return m + np.einsum("...ij,...j->...i", chol, eps)
 
-    def statistic_values(self, value):
-        v = np.asarray(value, dtype=np.float64)
-        return {"identity": v, "outer": np.einsum("...i,...j->...ij", v, v)}
-
     def dot_nat_stats(self, nat, stats):
         t1 = np.sum(nat["identity"] * stats["identity"], axis=-1)
         t2 = np.sum(nat["outer"] * stats["outer"], axis=(-1, -2))
         return t1 + t2
-
-    def check_support(self, value):
-        if not np.all(np.isfinite(np.asarray(value))):
-            raise SupportError("MultivariateNormal values must be finite")
 
     def to_standard(self, nat):
         lam = self._lam(nat)
@@ -673,17 +654,13 @@ class FamilyRegistry:
         return iter(self.families.values())
 
     def lookup(self, support: SupportType, descriptors) -> FamilySpec:
-        """Match a discovered statistic signature against the table: exact
-        signature equality first, then the first family in registration
-        order that accepts every discovered statistic (missing statistics
-        take natural parameter zero)."""
+        """The first family in registration order on ``support`` that
+        accepts every discovered statistic (missing statistics take
+        natural parameter zero)."""
         descriptors = frozenset(descriptors)
         if not descriptors:
             raise UnknownFamilyError(
                 f"no sufficient statistics discovered on {support.value}")
-        for fam in self.families.values():
-            if fam.support == support and descriptors == fam.signature:
-                return fam
         for fam in self.families.values():
             if fam.support == support and descriptors <= fam.accepts:
                 return fam
@@ -737,19 +714,3 @@ class Distribution:
 
     def describe(self):
         return self.family.describe(self.nat)
-
-
-def log_normalizer(d: Distribution):
-    return d.log_normalizer()
-
-
-def mean_params(d: Distribution):
-    return d.mean_params()
-
-
-def sample(d: Distribution, rng):
-    return d.sample(rng)
-
-
-def log_prob(d: Distribution, value):
-    return d.log_prob(value)

@@ -13,8 +13,8 @@ when the plan is built; input bindings and shapes, kernel domains and the
 finiteness of kernel results are checked on every call. Every transform
 that copies one graph into a builder (surgery, :func:`subgraph`,
 :func:`import_graph`, gradients, statistic discovery, natural-parameter
-extraction) goes through one traversal, :func:`rebuild`, whose
-``substitute`` callback swaps chosen nodes for other handles. The einsum
+extraction) goes through one traversal, :func:`rebuild` (iterative),
+whose ``substitute`` callback swaps chosen nodes for other handles. The einsum
 vector-Jacobian product behind :func:`grad` also reads natural parameters
 off the canonical monomials. Text and DOT serializations are produced by
 :func:`dump`; the text form parses back with :func:`parse`.
@@ -265,9 +265,6 @@ class TermGraph:
                 return i
         raise GraphError(f"no input named {name!r}")
 
-    def shape(self, nid):
-        return self.shapes[nid]
-
     def structural_hashes(self):
         """Per-node content digests (:func:`_node_digest`); equal digests
         mean structurally equal subgraphs."""
@@ -308,16 +305,6 @@ class TermGraph:
             if not dep[i] and isinstance(node, PrimNode):
                 dep[i] = any(dep[a] for a in node.args)
         return dep
-
-    def check_acyclic(self):
-        for i, node in enumerate(self.nodes):
-            if isinstance(node, PrimNode):
-                for a in node.args:
-                    if a >= i:
-                        raise GraphError(
-                            f"node {i} references later node {a}; graph not "
-                            f"in topological order")
-        return True
 
 
 class ExprHandle:
@@ -660,31 +647,47 @@ def rebuild(gb, g, nid, memo, substitute=None):
     """Re-emit node ``nid`` of ``g``, and every node it reaches, into
     builder ``gb``; the one node-copying traversal behind graph surgery.
 
-    Arguments are visited left to right. ``memo`` maps node ids of ``g`` to
+    Arguments are visited left to right, on an explicit stack, and a node
+    is emitted after its arguments. ``memo`` maps node ids of ``g`` to
     handles of ``gb`` and is filled as nodes are emitted; a pre-seeded
     entry stands in for its node, whose interior is then never visited.
     ``substitute(i)``, when given, is asked the first time node ``i`` is
     reached and returns a handle to stand in for it, or ``None`` to copy
     the node.
     """
-    if nid in memo:
-        h = memo[nid]
-        if h is None:
-            raise GraphError("graph surgery would introduce a cycle")
-        return h
-    memo[nid] = None  # in-progress marker
-    h = None if substitute is None else substitute(nid)
-    if h is None:
-        node = g.nodes[nid]
-        if isinstance(node, InputNode):
+    def reach(i):
+        """Node i's handle; None for a primitive still to be emitted."""
+        if i in memo:
+            if memo[i] is None:
+                raise GraphError("graph surgery would introduce a cycle")
+            return memo[i]
+        memo[i] = None  # in-progress marker
+        h = None if substitute is None else substitute(i)
+        node = g.nodes[i]
+        if h is None and isinstance(node, InputNode):
             h = gb.input(node.name, node.shape, node.support)
-        elif isinstance(node, ConstNode):
+        elif h is None and isinstance(node, ConstNode):
             h = gb.constant(node.value)
-        else:
-            h = gb.prim(node.op, [rebuild(gb, g, a, memo, substitute)
-                                  for a in node.args], node.attrs)
-    memo[nid] = h
-    return h
+        memo[i] = h
+        return h
+
+    stack = [(None, [], (nid,))]  # (node, its argument handles, its args)
+    while True:
+        i, done, args = stack[-1]
+        if len(done) < len(args):
+            h = reach(args[len(done)])
+            if h is None:
+                a = args[len(done)]
+                stack.append((a, [], g.nodes[a].args))
+            else:
+                done.append(h)
+            continue
+        stack.pop()
+        if i is None:
+            return done[0]
+        node = g.nodes[i]
+        memo[i] = h = gb.prim(node.op, done, node.attrs)
+        stack[-1][1].append(h)
 
 
 def import_graph(gb, sub: TermGraph, bindings: dict) -> ExprHandle:
@@ -973,6 +976,16 @@ def _parse_shape(token):
     return tuple(int(t) for t in body.split(",") if t)
 
 
+# op -> (attribute to text, text to attribute) of its one static attribute
+_ATTR_CODECS = {
+    "einsum": (str, str),
+    "one_hot": (str, int),
+    "sum_axis": (str, int),
+    "logsumexp": (str, int),
+    "broadcast_to": (_shape_token, _parse_shape),
+}
+
+
 def dump(g: TermGraph, format: str = "text") -> str:
     """Deterministic serialization; ``text`` round-trips through
     :func:`parse`, ``dot`` yields a Graphviz digraph."""
@@ -1018,19 +1031,10 @@ def _dump_text(g: TermGraph) -> str:
             lines.append(
                 f"const {labels[i]} {_shape_token(node.value.shape)} {flat}".rstrip())
         else:
-            attr = ""
-            if node.op == "einsum":
-                attr = node.attrs[0]
-            elif node.op == "one_hot":
-                attr = str(node.attrs[0])
-            elif node.op in ("sum_axis", "logsumexp"):
-                attr = str(node.attrs[0])
-            elif node.op == "broadcast_to":
-                attr = _shape_token(node.attrs[0])
             args = " ".join(labels[a] for a in node.args)
             body = f"prim {labels[i]} {node.op}"
-            if attr:
-                body += f" [{attr}]"
+            if node.op in _ATTR_CODECS:
+                body += f" [{_ATTR_CODECS[node.op][0](node.attrs[0])}]"
             lines.append(f"{body} {args}")
     lines.append(f"output {labels[g.output]}")
     return "\n".join(lines) + "\n"
@@ -1061,14 +1065,9 @@ def parse(text: str) -> TermGraph:
                 rest = toks[3:]
                 attrs = ()
                 if rest and rest[0].startswith("["):
-                    attr = rest[0][1:-1]
+                    if op in _ATTR_CODECS:
+                        attrs = (_ATTR_CODECS[op][1](rest[0][1:-1]),)
                     rest = rest[1:]
-                    if op == "einsum":
-                        attrs = (attr,)
-                    elif op in ("one_hot", "sum_axis", "logsumexp"):
-                        attrs = (int(attr),)
-                    elif op == "broadcast_to":
-                        attrs = (_parse_shape(attr),)
                 args = [byname[t] for t in rest]
                 byname[label] = gb.prim(op, args, attrs)
             elif kind == "output":

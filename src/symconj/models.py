@@ -43,7 +43,6 @@ class ModelFixture:
     expected_families: dict = field(default_factory=dict)
     example_args: object = None        # (seed) -> dict name -> ndarray
     direct_log_joint: object = None    # (args) -> float, numpy mirror
-    seed: int = 0
 
     def graph(self):
         return self.build()

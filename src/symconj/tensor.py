@@ -160,10 +160,6 @@ def _check_domain(name, x, mask):
             f"(value {x.ravel()[i]!r})")
 
 
-def _logistic(x):
-    return _special.expit(x)
-
-
 def _quiet(kernel):
     """The kernel with numpy's overflow warning silenced: the overflow
     gives inf, which the finiteness check then raises on."""
@@ -182,7 +178,7 @@ UNARY_FNS = {
     "sqrt": (np.sqrt, lambda x: x >= 0),
     "square": (_quiet(np.square), None),
     "reciprocal": (_quiet(lambda x: 1.0 / x), lambda x: x != 0),
-    "logistic": (_logistic, None),
+    "logistic": (_special.expit, None),
     "log_gamma": (_special.gammaln, lambda x: x > 0),
     "digamma": (_special.psi, lambda x: x > 0),
     "negate": (np.negative, None),

@@ -90,6 +90,23 @@ class TestDiscovery:
         with pytest.raises(UnknownFamilyError):
             complete_conditional(g, 0, SupportType.REAL)
 
+    def test_lone_scalar_statistic(self):
+        # log(z) is a monomial on its own, with no einsum around it
+        g = G.build(lambda z: G.log(z) - z, [("z", (), "NONNEGATIVE")])
+        d = complete_conditional(g, 0, SupportType.NONNEGATIVE)()
+        assert d.family.name == "Gamma"
+        std = d.standard()
+        assert float(std["shape"]) == 2.0 and float(std["rate"]) == 1.0
+
+    def test_two_statistics_under_one_descriptor_rejected(self):
+        def model(z, c):
+            return (G.sum_all(G.one_hot(z, 3)) * c
+                    + G.sum_all(G.one_hot(z, 4)))
+        g = G.build(model, [("z", (2,), "INTEGER"), ("c", ())])
+        with pytest.raises(ConjugacyError, match=(
+                "couples through multiple distinct one_hot statistics")):
+            complete_conditional(g, 0, SupportType.INTEGER)
+
 
 class TestExtraction:
     def test_beta_bernoulli_constant_folds(self):
