@@ -55,9 +55,7 @@ __all__ = ["CanonicalForm", "Monomial", "canonicalize", "is_canonical",
 POLY_OPS = {"subtract", "multiply", "divide", "negate", "square",
             "sum_axis", "broadcast_to"}
 # non-polynomial roots allowed as einsum arguments in canonical form
-ATOM_OPS = {"log", "log1p", "exp", "sqrt", "reciprocal", "logistic",
-            "log_gamma", "digamma", "one_hot", "logsumexp", "power",
-            "inverse", "logdet"}
+ATOM_OPS = set(G.OPS) - POLY_OPS - {"einsum", "add"}
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ class _LazySum:
 
 class _Simplifier:
     def __init__(self, budget):
-        self.gb = GraphBuilder(dedup=True)
+        self.gb = GraphBuilder()
         self.budget = budget
         self._const_kind = {}  # nid -> (is_all_ones, is_any_zero_annihilator)
 
@@ -616,7 +614,7 @@ def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
                                  [memo[a] for a in node.args])
             except _LettersExhausted as exc:
                 raise CanonicalizationError(
-                    f"the einsum form of {node.op} node n{i} needs "
+                    f"the einsum form of {G.render(g, i)} needs "
                     f"{exc.args[0]} index letters; there are "
                     f"{len(INDEX_ALPHABET)}") from None
     return G.cse(s.gb.finish(s.realize(memo[g.output])))

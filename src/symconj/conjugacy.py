@@ -15,7 +15,8 @@ g is multiaffine in a variable's statistics when every monomial holds at
 most one of them, as a direct einsum operand. The natural parameter of a
 statistic t is then the coefficient t carries, read off the monomials
 holding t; it equals the gradient of g with respect to t, which the tests
-check against :func:`graph.grad`.
+check against :func:`graph.grad` and against differences of g; an
+``outer`` parameter is extracted symmetric, the only part z z^T sees.
 
 One analysis, :func:`_analyze`, does all of this for one or several
 target arguments at once and returns a :class:`MultilinearRepr`: the
@@ -150,7 +151,7 @@ def find_sufficient_statistics(g, var):
     vid = g.input_id(var)
     dep = g.depends_on([vid])
 
-    gb = GraphBuilder(dedup=True)
+    gb = GraphBuilder()
     memo: dict[int, object] = {}
     for i in g.inputs:
         if i != vid:
@@ -188,7 +189,7 @@ def find_sufficient_statistics(g, var):
         spec = espec(node.attrs[0])
         s1, s2 = (spec.operand_subscripts[pos] for pos in bare)
         merged = "".join(dict.fromkeys(s1 + s2))
-        sb = GraphBuilder(dedup=True)
+        sb = GraphBuilder()
         z = G.rebuild(sb, g, vid, {})
         stat = sb.finish(sb.prim("einsum", (z, z), (f"{s1},{s2}->{merged}",)))
         kept = [pos for pos in range(len(node.args)) if pos not in bare]
@@ -241,6 +242,19 @@ def _held(g, held, own):
     return " and ".join(sorted(map(name, held)))
 
 
+def _symmetric(desc, h):
+    """Einsum handle ``h`` of a ``desc`` parameter; an ``outer`` one is made
+    0.5 (h + h^T) unless its operands are symmetric, as for x x^T."""
+    node = h.builder.node(h)
+    spec = espec(node.attrs[0])
+    out, subs = spec.output, spec.operand_subscripts
+    swap = str.maketrans(out[-2:], out[:-3:-1])
+    if desc != "outer" or sorted(zip(subs, node.args)) == sorted(
+            zip([s.translate(swap) for s in subs], node.args)):
+        return h
+    return 0.5 * (h + G.einsum(f"{out}->{out[:-2]}{out[:-3:-1]}", h))
+
+
 def extract_natural_parameters(energy, stats: StatisticSet, others=()):
     """Natural parameter graphs of the statistics ``stats`` of one
     variable, read off the monomials of the energy holding them.
@@ -255,7 +269,7 @@ def extract_natural_parameters(energy, stats: StatisticSet, others=()):
     stat_names = {d: _stat_input_name(stats.var, d) for d in stats.graphs}
     own = {energy.input_id(name): desc for desc, name in stat_names.items()}
     dep = energy.depends_on(own)
-    gb = GraphBuilder(dedup=True)
+    gb = GraphBuilder()
     memo = {}
     for i in energy.inputs:
         G.rebuild(gb, energy, i, memo)
@@ -278,8 +292,8 @@ def extract_natural_parameters(energy, stats: StatisticSet, others=()):
                 f"{_held(energy, held, own)}")
         if is_einsum:
             args = [G.rebuild(gb, energy, a, memo) for a in node.args]
-            parts[own[held[0]]].append(G._einsum_vjp(
-                gb, node.attrs[0], args, one, node.args.index(held[0])))
+            parts[own[held[0]]].append(_symmetric(own[held[0]], G._einsum_vjp(
+                gb, node.attrs[0], args, one, node.args.index(held[0]))))
         else:  # a lone scalar statistic
             parts[own[root]].append(one)
     etas = {}
@@ -408,7 +422,7 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
     (blk,) = mr.blocks
     g = mr.neg_energy
 
-    gb = GraphBuilder(dedup=True)
+    gb = GraphBuilder()
     handles = {name: G.rebuild(gb, log_joint, log_joint.input_id(name), {})
                for name in mr.arg_names}
     memo = {g.input_id(name): h for name, h in handles.items()}

@@ -508,8 +508,9 @@ class MultivariateNormalFamily(FamilySpec):
     reports its mean as the diagonal of E[z z^T].
 
     Only the matrix parameter's symmetric part matters: :meth:`_lam`,
-    which every closed form on values calls, is the one place that takes
-    it. The graph-only A (:meth:`lognorm_graph`) does not symmetrize."""
+    which every closed form on values calls, takes it. The graph-only A
+    (:meth:`lognorm_graph`) inverts the matrix parameter as it is, so it
+    relies on a symmetric one, as the conjugacy analysis extracts it."""
 
     name = "MultivariateNormal"
     support = SupportType.REAL

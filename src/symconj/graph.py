@@ -4,22 +4,25 @@ A :class:`TermGraph` is an append-only table of nodes (named inputs,
 constants, and primitive applications) with one designated output. Graphs
 are built through a :class:`GraphBuilder` and the expression-combinator
 functions in this module (``log``, ``einsum``, operator overloads on
-handles, ...), evaluated by :func:`evaluate`, deduplicated by
-:func:`cse`, differentiated symbolically by :func:`grad`, and edited by
-:func:`splice`. :func:`evaluate` runs the graph's :class:`EvalPlan`,
-compiled once per graph from the one op-to-kernel table :data:`KERNELS`:
-einsum ranks and extents are checked against the graph's static shapes
-when the plan is built; input bindings and shapes, kernel domains and the
-finiteness of kernel results are checked on every call. Every transform
-that copies one graph into a builder (surgery, :func:`subgraph`,
-:func:`import_graph`, gradients, statistic discovery, natural-parameter
-extraction) goes through one traversal, :func:`rebuild` (iterative),
-whose ``substitute`` callback swaps chosen nodes for other handles. The einsum
-vector-Jacobian product behind :func:`grad` also reads natural parameters
-off the canonical monomials. Text and DOT serializations are produced by
-:func:`dump`; the text form parses back with :func:`parse`.
-:func:`render` writes one node's expression on one line, for error
-messages.
+handles, ...). One table, :data:`OPS`, gives each primitive of the closed
+set its argument count, attribute codec, shape rule and kernel factory;
+the builder checks every node against its row and hash-conses identical
+nodes, and :func:`cse` merges duplicates in a graph assembled directly.
+Graphs are evaluated by :func:`evaluate`, differentiated symbolically by
+:func:`grad`, and edited by :func:`splice`. :func:`evaluate` runs the
+graph's :class:`EvalPlan`, compiled once per graph from the kernel
+factories: einsum ranks and extents are checked against the graph's
+static shapes when the plan is built; input bindings and shapes, kernel
+domains and the finiteness of kernel results are checked on every call.
+Every transform that copies one graph into a builder (surgery,
+:func:`subgraph`, :func:`import_graph`, gradients, statistic discovery,
+natural-parameter extraction) goes through one traversal, :func:`rebuild`
+(iterative), whose ``substitute`` callback swaps chosen nodes for other
+handles. The einsum vector-Jacobian product behind :func:`grad` also
+reads natural parameters off the canonical monomials. Text and DOT
+serializations are produced by :func:`dump`; the text form parses back,
+through the builder's checks, with :func:`parse`. :func:`render` writes
+one node's expression on one line, for error messages.
 
 Node argument lists always reference earlier nodes, so the node table is
 its own topological order and acyclicity holds by construction. All
@@ -33,11 +36,13 @@ import hashlib
 import operator
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import tensor
-from .errors import GraphError, NonDifferentiableError, NumericDomainError
+from .errors import (GraphError, NonDifferentiableError, NumericDomainError,
+                     SymconjError)
 from .tensor import INDEX_ALPHABET, EinsumSpec, as_tensor
 
 __all__ = [
@@ -46,15 +51,7 @@ __all__ = [
     "rebuild", "graph_equal", "render", "EvalPlan",
 ]
 
-# Ops whose second constructor argument is a static attribute tuple:
-#   einsum: (formula,)   one_hot: (depth,)   sum_axis/logsumexp: (axis,)
-#   broadcast_to: (shape,)
-ELEMENTWISE_BINARY = ("add", "subtract", "multiply", "divide", "power")
 UNARY_OPS = tuple(tensor.UNARY_FNS)
-PRIMITIVE_OPS = (
-    ("einsum", "one_hot", "sum_axis", "logsumexp", "broadcast_to",
-     "inverse", "logdet") + ELEMENTWISE_BINARY + UNARY_OPS
-)
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,55 +102,56 @@ class PrimNode:
     args: tuple
 
 
-def _infer_shape(op, attrs, arg_shapes):
-    if op == "einsum":
-        return tensor.einsum_output_shape(espec(attrs[0]), arg_shapes)
-    if op in ELEMENTWISE_BINARY:
-        a, b = tuple(arg_shapes[0]), tuple(arg_shapes[1])
-        if a == b:
-            return a
-        if a == ():
-            return b
-        if b == ():
-            return a
-        try:
-            return tuple(np.broadcast_shapes(a, b))
-        except ValueError:
-            raise GraphError(
-                f"{op}: shapes {a} and {b} do not broadcast")
-    if op in UNARY_OPS:
-        return tuple(arg_shapes[0])
-    if op == "one_hot":
-        return tuple(arg_shapes[0]) + (int(attrs[0]),)
-    if op in ("sum_axis", "logsumexp"):
-        shape = list(arg_shapes[0])
-        axis = int(attrs[0])
-        if not -len(shape) <= axis < len(shape):
-            raise GraphError(f"{op}: axis {axis} out of bounds for shape {tuple(shape)}")
-        del shape[axis]
-        return tuple(shape)
-    if op == "broadcast_to":
-        target = tuple(int(d) for d in attrs[0])
-        try:
-            np.broadcast_shapes(tuple(arg_shapes[0]), target)
-        except ValueError:
-            raise GraphError(
-                f"broadcast_to: cannot broadcast {tuple(arg_shapes[0])} to {target}")
-        if tuple(np.broadcast_shapes(tuple(arg_shapes[0]), target)) != target:
-            raise GraphError(
-                f"broadcast_to: {tuple(arg_shapes[0])} does not broadcast to {target}")
-        return target
-    if op == "inverse":
-        s = tuple(arg_shapes[0])
+def _shape_token(shape):
+    return "(" + ",".join(str(int(d)) for d in shape) + ")"
+
+
+def _parse_shape(token):
+    if not (token.startswith("(") and token.endswith(")")):
+        raise GraphError(f"bad shape token {token!r}")
+    body = token[1:-1]
+    return tuple(int(t) for t in body.split(",") if t)
+
+
+def _broadcast_shape(attrs, shapes):
+    a, b = shapes
+    if a == b or b == ():
+        return a
+    if a == ():
+        return b
+    try:
+        return tuple(np.broadcast_shapes(a, b))
+    except ValueError:
+        raise GraphError(f"shapes {a} and {b} do not broadcast") from None
+
+
+def _drop_axis_shape(attrs, shapes):
+    shape, axis = list(shapes[0]), attrs[0]
+    if not -len(shape) <= axis < len(shape):
+        raise GraphError(f"axis {axis} out of bounds for shape {shapes[0]}")
+    del shape[axis]
+    return tuple(shape)
+
+
+def _one_hot_shape(attrs, shapes):
+    if attrs[0] < 1:
+        raise GraphError(f"depth must be positive, got {attrs[0]}")
+    return shapes[0] + (attrs[0],)
+
+
+def _broadcast_to_shape(attrs, shapes):
+    if _broadcast_shape(attrs, (shapes[0], attrs[0])) != attrs[0]:
+        raise GraphError(f"{shapes[0]} does not broadcast to {attrs[0]}")
+    return attrs[0]
+
+
+def _square_shape(keep):
+    def rule(attrs, shapes):
+        s = shapes[0]
         if len(s) < 2 or s[-1] != s[-2]:
-            raise GraphError(f"inverse needs square trailing axes, got {s}")
-        return s
-    if op == "logdet":
-        s = tuple(arg_shapes[0])
-        if len(s) < 2 or s[-1] != s[-2]:
-            raise GraphError(f"logdet needs square trailing axes, got {s}")
-        return s[:-2]
-    raise GraphError(f"unknown primitive {op!r}")
+            raise GraphError(f"needs square trailing axes, got {s}")
+        return s if keep else s[:-2]
+    return rule
 
 
 def _power(x, y):
@@ -180,41 +178,44 @@ def _fixed(kernel):
     return lambda attrs, shapes: kernel
 
 
-# op -> kernel factory: given a node's attributes and argument shapes, the
-# function of the argument values that computes the node. Shared by
-# evaluation plans and by constant folding (:func:`_eval_prim`).
-KERNELS = {
-    "einsum": lambda attrs, shapes: tensor.einsum_kernel(espec(attrs[0]),
-                                                         shapes),
-    "add": _fixed(operator.add),
-    "subtract": _fixed(operator.sub),
-    "multiply": _fixed(operator.mul),
-    "divide": _fixed(_divide),
-    "power": _fixed(_power),
-    "one_hot": lambda attrs, shapes: functools.partial(
-        tensor.one_hot, depth=int(attrs[0])),
-    "sum_axis": lambda attrs, shapes: functools.partial(
-        np.sum, axis=int(attrs[0])),
-    "logsumexp": lambda attrs, shapes: functools.partial(
-        tensor.logsumexp, axis=int(attrs[0])),
-    "broadcast_to": lambda attrs, shapes: (
-        lambda x: np.broadcast_to(x, tuple(attrs[0])).copy()),
-    "inverse": _fixed(tensor.inverse),
-    "logdet": _fixed(tensor.logdet),
-    **{op: _fixed(tensor.unary_kernel(op)) for op in UNARY_OPS},
+class Op(NamedTuple):
+    """One primitive: its argument count (``None``: one or more), the
+    (to text, from text) codec of its one attribute (``None``: it takes
+    none), and two functions of a node's attributes and argument shapes:
+    the shape rule, raising :class:`GraphError`, and the kernel factory."""
+    arity: int | None
+    codec: tuple | None
+    shape: Callable
+    kernel: Callable
+
+
+# The closed primitive set. The builder checks every node against its row;
+# plans, constant folding (:func:`_eval_prim`) and serialization read it.
+OPS = {
+    "einsum": Op(None, (str, str),
+                 lambda a, s: tensor.einsum_output_shape(espec(a[0]), s),
+                 lambda a, s: tensor.einsum_kernel(espec(a[0]), s)),
+    **{op: Op(2, None, _broadcast_shape, _fixed(k)) for op, k in [
+        ("add", operator.add), ("subtract", operator.sub),
+        ("multiply", operator.mul), ("divide", _divide), ("power", _power)]},
+    "one_hot": Op(1, (str, int), _one_hot_shape, lambda a, s: (
+        functools.partial(tensor.one_hot, depth=a[0]))),
+    **{op: Op(1, (str, int), _drop_axis_shape,
+              lambda a, s, fn=fn: functools.partial(fn, axis=a[0]))
+       for op, fn in [("sum_axis", np.sum), ("logsumexp", tensor.logsumexp)]},
+    "broadcast_to": Op(1, (_shape_token, _parse_shape), _broadcast_to_shape,
+                       lambda a, s: lambda x: np.broadcast_to(x, a[0]).copy()),
+    "inverse": Op(1, None, _square_shape(True), _fixed(tensor.inverse)),
+    "logdet": Op(1, None, _square_shape(False), _fixed(tensor.logdet)),
+    **{op: Op(1, None, lambda a, s: s[0], _fixed(tensor.unary_kernel(op)))
+       for op in UNARY_OPS},
 }
-
-
-def _kernel(op, attrs, arg_shapes):
-    if op not in KERNELS:
-        raise GraphError(f"unknown primitive {op!r}")
-    return KERNELS[op](attrs, tuple(arg_shapes))
 
 
 def _eval_prim(op, attrs, args):
     """One primitive applied to argument values (constant folding)."""
     args = [as_tensor(a) for a in args]
-    return _kernel(op, attrs, [a.shape for a in args])(*args)
+    return OPS[op].kernel(attrs, tuple([a.shape for a in args]))(*args)
 
 
 def _node_digest(node, arg_digests):
@@ -363,33 +364,26 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class GraphBuilder:
-    """Single-threaded constructor of one TermGraph.
-
-    With ``dedup=True`` structurally identical nodes are hash-consed as
-    they are appended; the default keeps duplicates so that :func:`cse`
-    remains an observable, separate pass.
+    """Single-threaded constructor of one TermGraph, and the one gate every
+    node passes: :meth:`prim` checks each primitive's argument count,
+    attribute count and shapes against its :data:`OPS` row, and
+    structurally identical nodes are hash-consed as they are appended.
     """
 
-    def __init__(self, dedup=False):
+    def __init__(self):
         self._nodes = []
         self._shapes = []
         self._inputs = []
-        self._names = set()
-        self._dedup = dedup
         self._seen = {}
         self._digests = {}
 
     def _append(self, node, shape):
-        if self._dedup:
-            key = self._key(node)
-            hit = self._seen.get(key)
-            if hit is not None:
-                return ExprHandle(self, hit)
-        self._nodes.append(node)
-        self._shapes.append(tuple(shape))
-        nid = len(self._nodes) - 1
-        if self._dedup:
-            self._seen[key] = nid
+        key = self._key(node)
+        nid = self._seen.get(key)
+        if nid is None:
+            nid = self._seen[key] = len(self._nodes)
+            self._nodes.append(node)
+            self._shapes.append(tuple(shape))
         return ExprHandle(self, nid)
 
     def _key(self, node):
@@ -428,9 +422,8 @@ class GraphBuilder:
     def input(self, name, shape, support=None):
         if not _NAME_RE.match(name):
             raise GraphError(f"invalid input name {name!r}")
-        if name in self._names:
+        if ("in", name) in self._seen:
             raise GraphError(f"duplicate input name {name!r}")
-        self._names.add(name)
         h = self._append(InputNode(name, tuple(shape), support), shape)
         self._inputs.append(h.nid)
         return h
@@ -440,7 +433,8 @@ class GraphBuilder:
         return self._append(node, node.shape)
 
     def prim(self, op, args, attrs=()):
-        if op not in PRIMITIVE_OPS:
+        spec = OPS.get(op)
+        if spec is None:
             raise GraphError(f"unknown primitive {op!r}")
         arg_handles = []
         for a in args:
@@ -450,7 +444,17 @@ class GraphBuilder:
                 raise GraphError("cannot combine handles from different builders")
             arg_handles.append(a)
         attrs = tuple(attrs)
-        shape = _infer_shape(op, attrs, tuple([h.shape for h in arg_handles]))
+        n, arity = len(arg_handles), spec.arity
+        if (n != arity) if arity else (n == 0):
+            raise GraphError(f"{op}: argument count {n}, expected "
+                             f"{arity or 'at least 1'}")
+        if len(attrs) != (spec.codec is not None):
+            raise GraphError(f"{op}: attribute count {len(attrs)}, expected "
+                             f"{int(spec.codec is not None)}")
+        try:
+            shape = spec.shape(attrs, tuple([h.shape for h in arg_handles]))
+        except GraphError as exc:
+            raise GraphError(f"{op}: {exc}") from None
         node = PrimNode(op, attrs, tuple(h.nid for h in arg_handles))
         return self._append(node, shape)
 
@@ -492,8 +496,7 @@ logdet = _unary("logdet")
 def einsum(formula: str, *args: ExprHandle) -> ExprHandle:
     if not args:
         raise GraphError("einsum needs at least one operand")
-    builder = args[0].builder
-    return builder.prim("einsum", args, attrs=(formula,))
+    return args[0].builder.prim("einsum", args, attrs=(formula,))
 
 
 def one_hot(x: ExprHandle, depth: int) -> ExprHandle:
@@ -547,7 +550,7 @@ class EvalPlan:
 
     Building the plan gives each node reachable from an output a slot and
     an instruction: a constant's value, an input binding, or a primitive's
-    kernel from :data:`KERNELS`, whose einsum ranks and extents are checked
+    kernel from its :data:`OPS` row, whose einsum ranks and extents are checked
     against the static shapes here. Structurally equal nodes share a slot,
     across graphs too, so an input or a common subexpression is bound or
     computed once per run. Each run checks every input binding and shape,
@@ -575,8 +578,8 @@ class EvalPlan:
                     if isinstance(node, InputNode):
                         self.inputs.append((node.name, node.shape, slot))
                     elif isinstance(node, PrimNode):
-                        kernel = _kernel(node.op, node.attrs,
-                                         [g.shapes[a] for a in node.args])
+                        kernel = OPS[node.op].kernel(node.attrs, tuple(
+                            [g.shapes[a] for a in node.args]))
                         self.steps.append(
                             (kernel, tuple(local[a] for a in node.args),
                              slot))
@@ -715,7 +718,7 @@ def splice(g: TermGraph, target: int, replacement: TermGraph,
         raise GraphError(
             f"splice: replacement shape {replacement.shapes[replacement.output]} "
             f"!= target shape {g.shapes[target]}")
-    gb = GraphBuilder(dedup=True)
+    gb = GraphBuilder()
     memo: dict[int, ExprHandle] = {}
 
     def substitute(i):
@@ -735,7 +738,7 @@ def splice(g: TermGraph, target: int, replacement: TermGraph,
 def subgraph(g: TermGraph, nid: int) -> TermGraph:
     """Extract the subgraph rooted at a node as its own TermGraph; inputs
     are the original inputs it reaches."""
-    gb = GraphBuilder(dedup=True)
+    gb = GraphBuilder()
     return gb.finish(rebuild(gb, g, nid, {}))
 
 
@@ -837,7 +840,7 @@ def grad(g: TermGraph, wrt: int, wrt_name: str | None = None) -> TermGraph:
     if not 0 <= wrt < len(g.nodes):
         raise GraphError(f"wrt node {wrt} not in graph")
 
-    gb = GraphBuilder(dedup=True)
+    gb = GraphBuilder()
     memo: dict[int, ExprHandle] = {}
     wrt_shape = g.shapes[wrt]
     for i in g.inputs:
@@ -965,27 +968,6 @@ def _vjp(gb, op, attrs, args, out_h, cot, k):
 # serialization
 
 
-def _shape_token(shape):
-    return "(" + ",".join(str(int(d)) for d in shape) + ")"
-
-
-def _parse_shape(token):
-    if not (token.startswith("(") and token.endswith(")")):
-        raise GraphError(f"bad shape token {token!r}")
-    body = token[1:-1]
-    return tuple(int(t) for t in body.split(",") if t)
-
-
-# op -> (attribute to text, text to attribute) of its one static attribute
-_ATTR_CODECS = {
-    "einsum": (str, str),
-    "one_hot": (str, int),
-    "sum_axis": (str, int),
-    "logsumexp": (str, int),
-    "broadcast_to": (_shape_token, _parse_shape),
-}
-
-
 def dump(g: TermGraph, format: str = "text") -> str:
     """Deterministic serialization; ``text`` round-trips through
     :func:`parse`, ``dot`` yields a Graphviz digraph."""
@@ -1033,8 +1015,8 @@ def _dump_text(g: TermGraph) -> str:
         else:
             args = " ".join(labels[a] for a in node.args)
             body = f"prim {labels[i]} {node.op}"
-            if node.op in _ATTR_CODECS:
-                body += f" [{_ATTR_CODECS[node.op][0](node.attrs[0])}]"
+            if node.attrs:
+                body += f" [{OPS[node.op].codec[0](node.attrs[0])}]"
             lines.append(f"{body} {args}")
     lines.append(f"output {labels[g.output]}")
     return "\n".join(lines) + "\n"
@@ -1065,16 +1047,16 @@ def parse(text: str) -> TermGraph:
                 rest = toks[3:]
                 attrs = ()
                 if rest and rest[0].startswith("["):
-                    if op in _ATTR_CODECS:
-                        attrs = (_ATTR_CODECS[op][1](rest[0][1:-1]),)
-                    rest = rest[1:]
+                    codec = OPS[op].codec if op in OPS else None
+                    attr = rest.pop(0)[1:-1]
+                    attrs = (codec[1](attr) if codec else attr,)
                 args = [byname[t] for t in rest]
                 byname[label] = gb.prim(op, args, attrs)
             elif kind == "output":
                 output = byname[toks[1]]
             else:
                 raise GraphError(f"unknown record {kind!r}")
-        except (KeyError, IndexError, ValueError, GraphError) as exc:
+        except (KeyError, IndexError, ValueError, SymconjError) as exc:
             raise GraphError(f"parse error at line {lineno}: {exc}") from exc
     if output is None:
         raise GraphError("parse error: no output record")

@@ -69,7 +69,7 @@ def apply_rule(rule: Rule, g: TermGraph, misses: set | None = None):
         if binds is None:
             misses.add(hashes[nid])
             continue
-        gb = GraphBuilder(dedup=True)
+        gb = GraphBuilder()
         ext: dict[str, int] = {}
         handles: dict[str, ExprHandle] = {}
 

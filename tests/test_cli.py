@@ -41,6 +41,14 @@ class TestCanonicalizeCmd:
         assert r.returncode == 2
         assert "line 2" in r.stderr
 
+    def test_malformed_node_exits_2_naming_the_op(self, tmp_path):
+        src = tmp_path / "bad.txt"
+        src.write_text("input x (3,)\nprim n1 sum_axis x\noutput n1\n")
+        r = run_cli("canonicalize", str(src))
+        assert r.returncode == 2
+        assert ("parse error at line 2: sum_axis: attribute count 0, "
+                "expected 1") in r.stderr
+
     def test_missing_file_exits_2(self):
         r = run_cli("canonicalize", "not_a_fixture")
         assert r.returncode == 2

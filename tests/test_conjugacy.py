@@ -375,9 +375,6 @@ class TestMarginalize:
                      + float(np.sum(fac.from_env(rest).log_prob(args["z"]))))
             assert abs(total - full) <= 1e-12 * max(1.0, abs(full))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the graph-side MVN log-normalizer inverts the quadratic "
-        "coefficient unsymmetrized (ROADMAP)"))
     def test_chain_rule_with_asymmetric_quadratic_coefficient(self):
         def model(z, q, m):
             return (-0.5 * G.einsum("i,ij,j->", z, q, z)
@@ -638,6 +635,42 @@ class TestGradientOracle:
                         scale = max(1.0, float(np.abs(want).max()))
                         assert np.abs(got - want).max() <= 1e-12 * scale, (
                             name, blk.name, s.descriptor, seed)
+
+
+class TestAffineOracle:
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_energy_differences_equal_eta_pairings(self, name):
+        # the energy is affine in one block's statistics, with the etas as
+        # slope: energy(t) - energy(t') = <eta, t - t'> for the block's
+        # statistics at two draws, the other blocks fixed: the example
+        # value and a draw from the block's own conditional. Unlike the
+        # gradient oracle, this reads no vector-Jacobian product.
+        fx = fixture(name)
+        g = fx.graph()
+        analyses = [multilinear_repr(g, [a], [s]) for a, s in fx.latents]
+        analyses.append(multilinear_repr(
+            g, [a for a, _ in fx.latents], [s for _, s in fx.latents]))
+        for mr in analyses:
+            for blk in mr.blocks:
+                for seed in range(3):
+                    args = fx.example_args(seed)
+                    stats = {b.name: b.statistic_values(args[b.name])
+                             for b in mr.blocks}
+                    env = mr.energy_env(stats, args)
+                    t = stats[blk.name]
+                    t2 = blk.statistic_values(blk.distribution(env).sample(
+                        np.random.default_rng(seed)))
+                    assert any(not np.array_equal(t[d], t2[d]) for d in t)
+                    e = float(G.evaluate(mr.neg_energy, env))
+                    e2 = float(G.evaluate(mr.neg_energy, mr.energy_env(
+                        {**stats, blk.name: t2}, args)))
+                    pairing = sum(
+                        float(np.sum(G.evaluate(s.eta_graph, env)
+                                     * (t[s.descriptor] - t2[s.descriptor])))
+                        for s in blk.stats)
+                    scale = max(1.0, abs(e), abs(e2))
+                    assert abs(e - e2 - pairing) <= 1e-10 * scale, (
+                        name, blk.name, seed)
 
 
 class TestCanonicalMemo:

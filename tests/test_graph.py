@@ -31,7 +31,7 @@ BB_ENV = dict(z=0.5, heads=60.0, draws=100.0, a=0.5, b=0.5)
 def with_constant(g, nid, value):
     """``g`` with node ``nid`` swapped for a constant through the
     ``substitute`` callback of :func:`graph.rebuild`."""
-    gb = G.GraphBuilder(dedup=True)
+    gb = G.GraphBuilder()
 
     def substitute(i):
         return gb.constant(value) if i == nid else None
@@ -93,6 +93,74 @@ class TestBuild:
         g = beta_bernoulli_graph()
         assert all(a < i for i, node in enumerate(g.nodes)
                    if isinstance(node, G.PrimNode) for a in node.args)
+
+
+class TestBuilderChecks:
+    """Every node is checked against its ``OPS`` row as it is built, and
+    each error names the op."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda gb, a, b, m, s: gb.prim("log", (a, a)),
+         "log: argument count 2, expected 1"),
+        (lambda gb, a, b, m, s: gb.prim("add", (a,)),
+         "add: argument count 1, expected 2"),
+        (lambda gb, a, b, m, s: gb.prim("inverse", (s, a)),
+         "inverse: argument count 2, expected 1"),
+        (lambda gb, a, b, m, s: gb.prim("einsum", (), ("->",)),
+         "einsum: argument count 0, expected at least 1"),
+        (lambda gb, a, b, m, s: gb.prim("log", (a,), ("x",)),
+         "log: attribute count 1, expected 0"),
+        (lambda gb, a, b, m, s: gb.prim("sum_axis", (a,)),
+         "sum_axis: attribute count 0, expected 1"),
+        (lambda gb, a, b, m, s: gb.prim("einsum", (a,)),
+         "einsum: attribute count 0, expected 1"),
+        (lambda gb, a, b, m, s: G.one_hot(a, 0),
+         "one_hot: depth must be positive, got 0"),
+        (lambda gb, a, b, m, s: G.one_hot(a, -1),
+         "one_hot: depth must be positive, got -1"),
+        (lambda gb, a, b, m, s: a * b,
+         "multiply: shapes (3,) and (2,) do not broadcast"),
+        (lambda gb, a, b, m, s: G.sum_axis(m, 2),
+         "sum_axis: axis 2 out of bounds for shape (2, 3)"),
+        (lambda gb, a, b, m, s: G.logsumexp(m, -3),
+         "logsumexp: axis -3 out of bounds for shape (2, 3)"),
+        (lambda gb, a, b, m, s: G.broadcast_to(m, (1, 3)),
+         "broadcast_to: (2, 3) does not broadcast to (1, 3)"),
+        (lambda gb, a, b, m, s: G.broadcast_to(m, (3, 3)),
+         "broadcast_to: shapes (2, 3) and (3, 3) do not broadcast"),
+        (lambda gb, a, b, m, s: G.inverse(m),
+         "inverse: needs square trailing axes, got (2, 3)"),
+        (lambda gb, a, b, m, s: G.logdet(a),
+         "logdet: needs square trailing axes, got (3,)"),
+        (lambda gb, a, b, m, s: gb.prim("bogus", (a,)),
+         "unknown primitive 'bogus'"),
+    ])
+    def test_malformed_node_rejected(self, build, message):
+        gb = G.GraphBuilder()
+        handles = [gb.input(n, shape) for n, shape in
+                   [("a", (3,)), ("b", (2,)), ("m", (2, 3)), ("s", (3, 3))]]
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            build(gb, *handles)
+        assert len(gb.finish(handles[0]).nodes) == 4
+
+    def test_build_hash_conses(self):
+        g = beta_bernoulli_graph()
+        logs = [n for n in g.nodes if isinstance(n, G.PrimNode)
+                and n.op == "log"]
+        assert len(logs) == 1
+
+    @pytest.mark.parametrize("record, message", [
+        ("prim n1 log [junk] x", "log: attribute count 1, expected 0"),
+        ("prim n1 sum_axis x", "sum_axis: attribute count 0, expected 1"),
+        ("prim n1 log x y", "log: argument count 2, expected 1"),
+        ("prim n1 einsum [junk] x",
+         "formula 'junk' must contain exactly one '->'"),
+    ])
+    def test_parse_reports_the_op_and_line(self, record, message):
+        text = f"input x (3,)\ninput y (3,)\n{record}\noutput n1\n"
+        with pytest.raises(GraphError, match=re.escape(
+                f"parse error at line 3: {message}")):
+            G.parse(text)
 
 
 class TestEvaluate:
@@ -322,12 +390,14 @@ class TestEvalPlan:
 
 class TestCSE:
     def test_duplicate_logs_merge(self):
+        # the builder hash-conses; a graph assembled directly keeps both
         gb = G.GraphBuilder()
         x = gb.input("x", ())
-        l1 = gb.prim("log", (x,))
-        l2 = gb.prim("log", (x,))
-        g = gb.finish(gb.prim("add", (l1, l2)))
-        assert l1.nid != l2.nid
+        assert gb.prim("log", (x,)).nid == gb.prim("log", (x,)).nid
+        log = G.PrimNode("log", (), (0,))
+        g = G.TermGraph([gb.node(x), log, log,
+                         G.PrimNode("add", (), (1, 2))],
+                        [(), (), (), ()], [0], 3)
         out = G.cse(g)
         logs = [n for n in out.nodes
                 if isinstance(n, G.PrimNode) and n.op == "log"]
