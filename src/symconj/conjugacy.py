@@ -53,7 +53,7 @@ from .canonicalize import (
 )
 from .errors import ConjugacyError, NonMultiaffineError, UnknownFamilyError
 from .expfam import (
-    BUILTIN, Distribution, FamilySpec, SupportType,
+    BUILTIN, DESCRIPTORS, Distribution, FamilySpec, SupportType,
 )
 from .graph import (
     ConstNode, GraphBuilder, PrimNode, TermGraph, espec, subgraph,
@@ -69,9 +69,9 @@ __all__ = [
 @dataclass(frozen=True)
 class StatisticSet:
     """Discovered statistics of one variable: descriptor -> statistic graph
-    (a graph over the variable computing it), the identity first, plus the
-    rendered expressions (:func:`graph.render`) of atoms that depend on the
-    variable but match no known statistic shape."""
+    (a graph over the variable computing it) in :data:`expfam.DESCRIPTORS`
+    order, plus the rendered expressions (:func:`graph.render`) of atoms
+    that depend on the variable but match no known statistic shape."""
     var: str
     graphs: dict
     residual: tuple = ()
@@ -221,9 +221,7 @@ def find_sufficient_statistics(g, var):
     acc = terms[0]
     for t in terms[1:]:
         acc = gb.prim("add", (t, acc))
-    # the identity statistic first, the others in order of discovery
-    order = sorted(stats, key=lambda d: d != "identity")
-    graphs = {d: stats[d] for d in order}
+    graphs = {d: stats[d] for d in DESCRIPTORS if d in stats}
     residual = tuple(G.render(g, a) for a in sorted(residual))
     return StatisticSet(var, graphs, residual), gb.finish(acc)
 

@@ -7,14 +7,15 @@ functions in this module (``log``, ``einsum``, operator overloads on
 handles, ...). One table, :data:`OPS`, gives each primitive of the closed
 set its argument count, attribute codec, shape rule and kernel factory;
 the builder checks every node against its row and hash-conses identical
-nodes, and :func:`cse` merges duplicates in a graph assembled directly.
+nodes; :func:`cse` copies a graph through a fresh builder, so duplicates
+merge and the copy is numbered by its structure alone.
 Graphs are evaluated by :func:`evaluate`, differentiated symbolically by
 :func:`grad`, and edited by :func:`splice`. :func:`evaluate` runs the
 graph's :class:`EvalPlan`, compiled once per graph from the kernel
 factories: einsum ranks and extents are checked against the graph's
 static shapes when the plan is built; input bindings and shapes, kernel
 domains and the finiteness of kernel results are checked on every call.
-Every transform that copies one graph into a builder (surgery,
+Every transform that copies one graph into a builder (:func:`cse`, surgery,
 :func:`subgraph`, :func:`import_graph`, gradients, statistic discovery,
 natural-parameter extraction) goes through one traversal, :func:`rebuild`
 (iterative), whose ``substitute`` callback swaps chosen nodes for other
@@ -125,8 +126,14 @@ def _broadcast_shape(attrs, shapes):
         raise GraphError(f"shapes {a} and {b} do not broadcast") from None
 
 
+def _int(v):
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise GraphError(f"needs an integer attribute, got {v!r}")
+    return int(v)
+
+
 def _drop_axis_shape(attrs, shapes):
-    shape, axis = list(shapes[0]), attrs[0]
+    shape, axis = list(shapes[0]), _int(attrs[0])
     if not -len(shape) <= axis < len(shape):
         raise GraphError(f"axis {axis} out of bounds for shape {shapes[0]}")
     del shape[axis]
@@ -134,15 +141,17 @@ def _drop_axis_shape(attrs, shapes):
 
 
 def _one_hot_shape(attrs, shapes):
-    if attrs[0] < 1:
-        raise GraphError(f"depth must be positive, got {attrs[0]}")
-    return shapes[0] + (attrs[0],)
+    depth = _int(attrs[0])
+    if depth < 1:
+        raise GraphError(f"depth must be positive, got {depth}")
+    return shapes[0] + (depth,)
 
 
 def _broadcast_to_shape(attrs, shapes):
-    if _broadcast_shape(attrs, (shapes[0], attrs[0])) != attrs[0]:
-        raise GraphError(f"{shapes[0]} does not broadcast to {attrs[0]}")
-    return attrs[0]
+    target = tuple(map(_int, attrs[0]))
+    if _broadcast_shape(attrs, (shapes[0], target)) != target:
+        raise GraphError(f"{shapes[0]} does not broadcast to {target}")
+    return target
 
 
 def _square_shape(keep):
@@ -616,30 +625,15 @@ def evaluate(g: TermGraph, env: dict) -> np.ndarray:
 
 
 def cse(g: TermGraph) -> TermGraph:
-    """Structurally deduplicate the graph and drop unreachable non-input
-    nodes. Idempotent; evaluation-preserving."""
-    hashes = g.structural_hashes()
-    reach = g.reachable()
-    nodes, shapes = [], []
-    remap: dict[int, int] = {}
-    first: dict[bytes, int] = {}
-    for i, node in enumerate(g.nodes):
-        if not (reach[i] or isinstance(node, InputNode)):
-            continue
-        if hashes[i] in first:  # inputs have unique names, so never here
-            remap[i] = first[hashes[i]]
-            continue
-        if isinstance(node, PrimNode):
-            node = PrimNode(node.op, node.attrs,
-                            tuple(remap[a] for a in node.args))
-        remap[i] = first[hashes[i]] = len(nodes)
-        nodes.append(node)
-        shapes.append(g.shapes[i])
-    out = TermGraph(nodes, shapes, [remap[i] for i in g.inputs],
-                    remap[g.output])
-    # kept nodes' arguments map to nodes of equal hash, so the hashes hold
-    out._hashes = tuple(first)
-    return out
+    """Copy the inputs in declared order, then the output, through a fresh
+    builder with :func:`rebuild`: structural duplicates merge, unreachable
+    non-input nodes drop, and the left-to-right post-order numbers the
+    nodes by structure alone, as in every graph the canonicalizer's sweep
+    returns. Idempotent; evaluation-preserving."""
+    gb, memo = GraphBuilder(), {}
+    for i in g.inputs:
+        rebuild(gb, g, i, memo)
+    return gb.finish(rebuild(gb, g, g.output, memo))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,32 @@ from symconj.models import fixture, fixtures
 import corpus
 
 
+def renumbered(g, rng):
+    """``g`` with its node table in a random topological order."""
+    users = [[] for _ in g.nodes]
+    waiting = [0] * len(g.nodes)
+    for i, node in enumerate(g.nodes):
+        if isinstance(node, PrimNode):
+            for a in set(node.args):
+                users[a].append(i)
+                waiting[i] += 1
+    ready = [i for i, w in enumerate(waiting) if w == 0]
+    order = []
+    while ready:
+        i = ready.pop(rng.integers(len(ready)))
+        order.append(i)
+        for u in users[i]:
+            waiting[u] -= 1
+            if waiting[u] == 0:
+                ready.append(u)
+    new = {old: k for k, old in enumerate(order)}
+    nodes = [PrimNode(n.op, n.attrs, tuple(new[a] for a in n.args))
+             if isinstance(n, PrimNode) else n
+             for n in (g.nodes[i] for i in order)]
+    return G.TermGraph(nodes, [g.shapes[i] for i in order],
+                       [new[i] for i in g.inputs], new[g.output])
+
+
 def env_scale_err(g1, g2, env):
     a = np.asarray(G.evaluate(g1, env))
     b = np.asarray(G.evaluate(g2, env))
@@ -224,16 +250,24 @@ class TestCanonicalize:
         env.update(a=0.7, b=2.3)
         assert env_scale_err(g, cf.graph, env) < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "not idempotent up to graph_equal: a second canonicalize renumbers "
-        "the same monomials (CHANGES.md, FOUND on perfbench/corpus.py)"))
     def test_rewrite_corpus_idempotence(self):
-        renumbered = []
-        for seed, item in [(1, 124), (2, 5), (5, 89)]:
-            cf = canonicalize(corpus.corpus(seed)[item].graph)
-            if not G.graph_equal(canonicalize(cf.graph).graph, cf.graph):
-                renumbered.append((seed, item))
-        assert renumbered == []
+        changed = []
+        for seed in (1, 2, 5, 9):
+            for item, c in enumerate(corpus.corpus(seed)):
+                cf = canonicalize(c.graph)
+                if not G.graph_equal(canonicalize(cf.graph).graph, cf.graph):
+                    changed.append((seed, item))
+        assert changed == []
+
+    @pytest.mark.parametrize("name", [f.name for f in fixtures()])
+    def test_numbering_of_the_input_does_not_reach_the_form(self, name):
+        # the same graph in other topological orders of its node table
+        g = fixture(name).graph()
+        want = canonicalize(g).graph
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            got = canonicalize(renumbered(g, rng)).graph
+            assert G.graph_equal(got, want)
 
 
 # the log rules each fixture fires, in order

@@ -15,7 +15,7 @@ from symconj.errors import (
     CanonicalizationError, ConjugacyError, NonMultiaffineError,
     UnknownFamilyError,
 )
-from symconj.expfam import SupportType
+from symconj.expfam import DESCRIPTORS, SupportType
 from symconj.graph import ConstNode, InputNode
 from symconj.models import fixture
 
@@ -205,6 +205,27 @@ class TestCompleteConditional:
         std = d.standard()
         assert np.abs(std["mean"] - mean).max() < 1e-8
         assert np.abs(std["cov"] - Sigma).max() < 1e-8
+
+    @pytest.mark.parametrize("form", ["input", "constant", "sum"])
+    def test_quadratic_coefficient_forms(self, form):
+        # z.C.z + z.b has mean solve(-(C + C^T), b) whether the coefficient
+        # is an input, a constant matrix or a sum of two inputs
+        rng = np.random.default_rng(4)
+        k = rng.standard_normal((3, 3))
+        c1, c2, b = -0.5 * _spd(rng, 3) + k, -k.T, rng.standard_normal(3)
+        C = c1 + c2
+
+        def model(z, b, c1, c2):
+            coef = (c1 if form == "input" else c1 + c2 if form == "sum"
+                    else z.builder.constant(C))
+            return G.einsum("i,ij,j->", z, coef, z) + G.einsum("i,i->", z, b)
+
+        g = G.build(model, [("z", (3,)), ("b", (3,)), ("c1", (3, 3)),
+                            ("c2", (3, 3))])
+        env = dict(b=b, c1=C if form == "input" else c1, c2=c2)
+        d = complete_conditional(g, 0, SupportType.REAL).from_env(env)
+        want = np.linalg.solve(-(C + C.T), b)
+        assert np.abs(d.standard()["mean"] - want).max() <= 1e-12
 
     def test_factory_argument_count_checked(self):
         fac = complete_conditional(bb_graph(), 0, SupportType.UNIT_INTERVAL)
@@ -579,6 +600,20 @@ class TestSharedAnalysis:
         assert fac.family is mrepr.blocks[0].family
         assert {d: G.dump(eg) for d, eg in fac.eta_graphs.items()} == {
             s.descriptor: G.dump(s.eta_graph) for s in mrepr.blocks[0].stats}
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in models.fixtures() if f.latents])
+    def test_one_statistic_order(self, name):
+        # a block lists its statistics in DESCRIPTORS order, alone or joint
+        fx = fixture(name)
+        g = fx.graph()
+        joint = multilinear_repr(g, [a for a, _ in fx.latents],
+                                 [s for _, s in fx.latents])
+        for argnum, support in fx.latents:
+            fac = complete_conditional(g, argnum, support)
+            order = tuple(fac.eta_graphs)
+            assert order == joint.block(fac.var).descriptors
+            assert order == tuple(sorted(order, key=DESCRIPTORS.index))
 
 
 REFERENCE = ("beta_bernoulli", "normal_gamma", "logistic_jj", "kalman",

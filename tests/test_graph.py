@@ -134,6 +134,16 @@ class TestBuilderChecks:
          "logdet: needs square trailing axes, got (3,)"),
         (lambda gb, a, b, m, s: gb.prim("bogus", (a,)),
          "unknown primitive 'bogus'"),
+        (lambda gb, a, b, m, s: gb.prim("one_hot", (a,), (2.5,)),
+         "one_hot: needs an integer attribute, got 2.5"),
+        (lambda gb, a, b, m, s: gb.prim("one_hot", (a,), (True,)),
+         "one_hot: needs an integer attribute, got True"),
+        (lambda gb, a, b, m, s: gb.prim("sum_axis", (m,), ("a",)),
+         "sum_axis: needs an integer attribute, got 'a'"),
+        (lambda gb, a, b, m, s: gb.prim("logsumexp", (m,), (0.0,)),
+         "logsumexp: needs an integer attribute, got 0.0"),
+        (lambda gb, a, b, m, s: gb.prim("broadcast_to", (a,), ((2.5,),)),
+         "broadcast_to: needs an integer attribute, got 2.5"),
     ])
     def test_malformed_node_rejected(self, build, message):
         gb = G.GraphBuilder()
@@ -142,6 +152,14 @@ class TestBuilderChecks:
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             build(gb, *handles)
         assert len(gb.finish(handles[0]).nodes) == 4
+
+    def test_numpy_integer_attributes_accepted(self):
+        gb = G.GraphBuilder()
+        m = gb.input("m", (2, 3))
+        assert gb.prim("one_hot", (m,), (np.int64(4),)).shape == (2, 3, 4)
+        assert gb.prim("sum_axis", (m,), (np.int32(1),)).shape == (2,)
+        assert gb.prim("broadcast_to", (m,),
+                       ((np.int64(5), 2, 3),)).shape == (5, 2, 3)
 
     def test_build_hash_conses(self):
         g = beta_bernoulli_graph()
