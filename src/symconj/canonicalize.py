@@ -22,10 +22,12 @@ The driver alternates two phases until a fixed point:
 The fixed point is the canonical form: the output is an add-tree whose
 leaves are einsum monomials (or lone atoms/constants), each einsum
 argument being a constant, an input, or a non-polynomial node (an atom).
-Nonlinear atoms are never rewritten away: they are the candidate
-sufficient statistics. There is no termination proof; a rewrite budget
-bounds the rule firings and expansion steps of one normalize_graph call,
-and revisiting an earlier graph state stops the loop as a livelock.
+A :class:`CanonicalForm` is that graph plus its monomial roots, the
+add-tree's leaves (:func:`monomials`). Nonlinear atoms are never
+rewritten away: they are the candidate sufficient statistics. There is
+no termination proof; a rewrite budget bounds the rule firings and
+expansion steps of one normalize_graph call, and revisiting an earlier
+graph state stops the loop as a livelock.
 
 The log-splitting rules (log of a product/quotient/root) assume positive
 factors, which is the standing convention for the scale and probability
@@ -40,16 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as G
-from .errors import (CanonicalizationError, GraphError, NonTerminationError,
-                     SymconjError)
+from .errors import CanonicalizationError, NonTerminationError, SymconjError
 from .graph import (
     ConstNode, GraphBuilder, InputNode, PrimNode, TermGraph, espec,
 )
 from .pattern import Rule, apply_rule
 from .tensor import INDEX_ALPHABET
 
-__all__ = ["CanonicalForm", "Monomial", "canonicalize", "is_canonical",
-           "local_simplify", "normalize_graph", "index_monomials", "REGISTRY"]
+__all__ = ["CanonicalForm", "canonicalize", "is_canonical", "monomials",
+           "local_simplify", "normalize_graph", "REGISTRY"]
 
 # polynomial primitives: always eliminable in favor of einsum/add
 POLY_OPS = {"subtract", "multiply", "divide", "negate", "square",
@@ -59,47 +60,29 @@ ATOM_OPS = set(G.OPS) - POLY_OPS - {"einsum", "add"}
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """One additive term of a canonical graph: its root node, the constant
-    einsum operands (coefficients) and the remaining operands (factors)."""
-    root: int
-    coefficients: tuple
-    factors: tuple
-
-
-@dataclass(frozen=True)
 class CanonicalForm:
+    """A graph in canonical form and the node ids of its monomials, lone
+    atoms and constants, left to right (:func:`monomials`)."""
     graph: TermGraph
     monomials: tuple
-    atoms: frozenset
 
 
 # ---------------------------------------------------------------------------
 # local simplification sweep
 
 
+class _LettersExhausted(Exception):
+    """An einsum form needs ``args[0]`` index letters, more than exist."""
+
+
 def _letters(n):
     if n > len(INDEX_ALPHABET):
-        raise GraphError("einsum index alphabet exhausted")
+        raise _LettersExhausted(n)
     return INDEX_ALPHABET[:n]
-
-
-def _fresh_pool(used):
-    """Iterator over unused index letters; raises only when drawn dry."""
-    def gen():
-        for c in INDEX_ALPHABET:
-            if c not in used:
-                yield c
-        raise GraphError("einsum index alphabet exhausted")
-    return gen()
 
 
 # op -> the op it undoes: 1/(1/x), log(exp x) and exp(log x) unwrap
 _INVERSE = {"reciprocal": "reciprocal", "log": "exp", "exp": "log"}
-
-
-class _LettersExhausted(Exception):
-    """Merging nested einsums needs ``args[0]`` letters, more than exist."""
 
 
 class _Budget:
@@ -232,8 +215,9 @@ class _Simplifier:
         axes of an operand get private letters (summed over harmlessly)."""
         out_shape = tuple(np.broadcast_shapes(*[tuple(s) for s in shapes]))
         rank = len(out_shape)
-        out_letters = _letters(rank)
-        pool = _fresh_pool(set(out_letters))
+        letters = _letters(rank + sum(d != out_shape[rank - len(s) + i]
+                                      for s in shapes for i, d in enumerate(s)))
+        out_letters, pool = letters[:rank], iter(letters[rank:])
         subs = []
         for s in shapes:
             off = rank - len(s)
@@ -275,22 +259,21 @@ class _Simplifier:
         out = spec.output
         operands = list(zip(spec.operand_subscripts, args))
 
-        # inline nested einsums (arguments are already simplified)
+        # inline nested einsums (arguments are already simplified), once
+        # the alphabet is known to hold every letter the merge draws
         nested = [espec(self.node(h).attrs[0]) if self.op_of(h) == "einsum"
                   else None for h in args]
         used = set("".join(spec.operand_subscripts) + out)
-        need = len(used) + sum(
+        _letters(len(used) + sum(
             len(set("".join(inner.operand_subscripts)) - set(inner.output))
-            for inner in nested if inner is not None)
-        if need > len(INDEX_ALPHABET):
-            raise _LettersExhausted(need)
+            for inner in nested if inner is not None))
         merged = []
         for (subs, h), inner in zip(operands, nested):
             if inner is None:
                 merged.append((subs, h))
                 continue
             mapping = dict(zip(inner.output, subs))
-            fresh = _fresh_pool(used)
+            fresh = (c for c in INDEX_ALPHABET if c not in used)
             for ch in "".join(inner.operand_subscripts):
                 if ch not in mapping:
                     mapping[ch] = next(fresh)
@@ -498,17 +481,14 @@ class _Simplifier:
         if isinstance(x, _LazySum):
             return x
         lazy = _LazySum(x.shape)
-        stack = [x]  # add-tree leaves, left to right
-        while stack:
-            h = stack.pop()
-            node = self.node(h)
-            if isinstance(node, PrimNode) and node.op == "add":
-                stack.extend(G.ExprHandle(self.gb, a) for a in node.args[::-1])
-            elif isinstance(node, ConstNode):
+        nodes = self.gb._nodes
+        for i in _add_leaves(nodes, x.nid):
+            node = nodes[i]
+            if isinstance(node, ConstNode):
                 lazy.const = (node.value if lazy.const is None
                               else lazy.const + node.value)
             else:
-                self.add_leaf(lazy, h, 1.0)
+                self.add_leaf(lazy, G.ExprHandle(self.gb, i), 1.0)
         return lazy
 
     def lazy_sum(self, *parts):
@@ -603,21 +583,22 @@ def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
         node = g.nodes[i]
         memo[i] = s.gb.input(node.name, node.shape, node.support)
     reach = g.reachable()
-    for i, node in enumerate(g.nodes):
-        if not reach[i] or i in memo:
-            continue
-        if isinstance(node, ConstNode):
-            memo[i] = s.const(node.value)
-        else:
-            try:
+    try:
+        for i, node in enumerate(g.nodes):
+            if not reach[i] or i in memo:
+                continue
+            if isinstance(node, ConstNode):
+                memo[i] = s.const(node.value)
+            else:
                 memo[i] = s.emit(node.op, node.attrs,
                                  [memo[a] for a in node.args])
-            except _LettersExhausted as exc:
-                raise CanonicalizationError(
-                    f"the einsum form of {G.render(g, i)} needs "
-                    f"{exc.args[0]} index letters; there are "
-                    f"{len(INDEX_ALPHABET)}") from None
-    return G.cse(s.gb.finish(s.realize(memo[g.output])))
+        i = g.output
+        out = s.realize(memo[i])
+    except _LettersExhausted as exc:
+        raise CanonicalizationError(
+            f"the einsum form of {G.render(g, i)} needs {exc.args[0]} "
+            f"index letters; there are {len(INDEX_ALPHABET)}") from None
+    return G.cse(s.gb.finish(out))
 
 
 # ---------------------------------------------------------------------------
@@ -701,17 +682,16 @@ REGISTRY = (LOG_PRODUCT, LOG_RECIPROCAL, LOG_SQRT, LOG_POWER)
 
 
 # ---------------------------------------------------------------------------
-# canonical-form predicate and index
+# canonical-form predicate and monomial roots
 
 
-def _add_leaves(g, root):
-    """Monomial roots: leaves of the maximal add-tree at ``root``, left to
-    right."""
+def _add_leaves(nodes, root):
+    """Leaves of the add-tree at ``root`` in a node table, left to right."""
     leaves = []
     stack = [root]
     while stack:
         i = stack.pop()
-        node = g.nodes[i]
+        node = nodes[i]
         if isinstance(node, PrimNode) and node.op == "add":
             stack.extend(node.args[::-1])
         else:
@@ -719,12 +699,18 @@ def _add_leaves(g, root):
     return leaves
 
 
+def monomials(g: TermGraph) -> tuple:
+    """Monomial roots of a graph: the leaves of the add-tree at its output,
+    left to right."""
+    return tuple(_add_leaves(g.nodes, g.output))
+
+
 def is_canonical(g: TermGraph) -> bool:
     """Structural predicate: the output is an add-tree of monomials, every
     monomial an einsum over atoms (constants, inputs, or non-polynomial
     nodes), a lone atom, or a constant; no polynomial primitive survives
     on the spine."""
-    for root in _add_leaves(g, g.output):
+    for root in monomials(g):
         node = g.nodes[root]
         if isinstance(node, (InputNode, ConstNode)):
             continue
@@ -740,28 +726,6 @@ def is_canonical(g: TermGraph) -> bool:
         elif node.op not in ATOM_OPS:
             return False
     return True
-
-
-def index_monomials(g: TermGraph):
-    """Monomial index and atom set of a graph already in canonical form."""
-    monomials = []
-    atoms = set()
-    for root in _add_leaves(g, g.output):
-        node = g.nodes[root]
-        if isinstance(node, ConstNode):
-            monomials.append(Monomial(root, (root,), ()))
-            continue
-        if isinstance(node, InputNode) or node.op != "einsum":
-            monomials.append(Monomial(root, (), (root,)))
-            atoms.add(root)
-            continue
-        coeffs = tuple(a for a in node.args
-                       if isinstance(g.nodes[a], ConstNode))
-        factors = tuple(a for a in node.args
-                        if not isinstance(g.nodes[a], ConstNode))
-        monomials.append(Monomial(root, coeffs, factors))
-        atoms.update(factors)
-    return tuple(monomials), frozenset(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +746,7 @@ def canonicalize(g: TermGraph, max_rules: int = 10000,
     if not is_canonical(g):
         raise CanonicalizationError(
             "rewriting reached a fixed point that is not canonical")
-    monomials, atoms = index_monomials(g)
-    return CanonicalForm(graph=g, monomials=monomials, atoms=atoms)
+    return CanonicalForm(graph=g, monomials=monomials(g))
 
 
 def normalize_graph(g: TermGraph, max_rules: int = 10000,

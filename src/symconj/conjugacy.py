@@ -49,7 +49,7 @@ import numpy as np
 
 from . import graph as G
 from .canonicalize import (
-    CanonicalForm, canonicalize, index_monomials, local_simplify,
+    CanonicalForm, canonicalize, local_simplify, monomials,
 )
 from .errors import ConjugacyError, NonMultiaffineError, UnknownFamilyError
 from .expfam import (
@@ -145,9 +145,9 @@ def find_sufficient_statistics(g, var):
     canonical graph over the statistic inputs. Residual atoms are copied.
     """
     if isinstance(g, CanonicalForm):
-        g, monomials = g.graph, g.monomials
+        g, roots = g.graph, g.monomials
     else:
-        monomials, _ = index_monomials(g)
+        roots = monomials(g)
     vid = g.input_id(var)
     dep = g.depends_on([vid])
 
@@ -199,8 +199,7 @@ def find_sufficient_statistics(g, var):
         return gb.prim("einsum", ops, (",".join(subs) + "->" + spec.output,))
 
     terms = []
-    for m in monomials:
-        root = m.root
+    for root in roots:
         node = g.nodes[root]
         if not dep[root]:
             terms.append(emit(root))
@@ -273,8 +272,7 @@ def extract_natural_parameters(energy, stats: StatisticSet, others=()):
         G.rebuild(gb, energy, i, memo)
     one = gb.constant(1.0)
     parts = {desc: [] for desc in stat_names}
-    for m in index_monomials(energy)[0]:
-        root = m.root
+    for root in monomials(energy):
         if not dep[root]:
             continue
         node = energy.nodes[root]
@@ -352,13 +350,11 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
         found.append((stats, BUILTIN.lookup(support, stats.descriptors)))
 
     blocks = []
-    for (var, support), (stats, family) in zip(targets, found):
+    for (var, _), (stats, family) in zip(targets, found):
         etas = extract_natural_parameters(energy, stats,
                                           [s for s, _ in found])
         blocks.append(LatentBlock(
-            name=var, support=support, family=family,
-            shape=log_joint.shapes[log_joint.input_id(var)],
-            stats=tuple(StatEntry(
+            name=var, family=family, stats=tuple(StatEntry(
                 descriptor=d, input_name=_stat_input_name(var, d),
                 shape=sg.shapes[sg.output], stat_graph=sg,
                 eta_graph=etas[d]) for d, sg in stats.graphs.items())))
@@ -425,8 +421,8 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
                for name in mr.arg_names}
     memo = {g.input_id(name): h for name, h in handles.items()}
     held = g.depends_on([g.input_id(s.input_name) for s in blk.stats])
-    g0 = [G.rebuild(gb, g, m.root, memo)
-          for m in index_monomials(g)[0] if not held[m.root]]
+    g0 = [G.rebuild(gb, g, root, memo)
+          for root in monomials(g) if not held[root]]
     eta_handles = {s.descriptor: G.import_graph(gb, s.eta_graph, handles)
                    for s in blk.stats}
     out = blk.family.lognorm_graph(gb, eta_handles)
@@ -449,9 +445,7 @@ class StatEntry:
 @dataclass(frozen=True)
 class LatentBlock:
     name: str
-    support: SupportType
     family: FamilySpec
-    shape: tuple
     stats: tuple
 
     def statistic_values(self, value) -> dict:

@@ -50,7 +50,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import graph as G
-from .canonicalize import index_monomials, local_simplify
+from .canonicalize import local_simplify, monomials
 from .errors import NaturalDomainError, SupportError, UnknownFamilyError
 from .tensor import INDEX_ALPHABET, one_hot as one_hot_value
 
@@ -625,8 +625,8 @@ def _common_scalars(gb, h):
     g = local_simplify(G.subgraph(gb.finish(h), h.nid))
     hashes = g.structural_hashes()
     common, first = None, {}
-    for m in index_monomials(g)[0]:
-        node = g.nodes[m.root]
+    for root in monomials(g):
+        node = g.nodes[root]
         if not (isinstance(node, G.PrimNode) and node.op == "einsum"):
             return []
         held = [a for a in node.args if g.shapes[a] == ()

@@ -148,6 +148,8 @@ def _one_hot_shape(attrs, shapes):
 
 
 def _broadcast_to_shape(attrs, shapes):
+    if not isinstance(attrs[0], (tuple, list)):
+        raise GraphError(f"needs a shape sequence, got {attrs[0]!r}")
     target = tuple(map(_int, attrs[0]))
     if _broadcast_shape(attrs, (shapes[0], target)) != target:
         raise GraphError(f"{shapes[0]} does not broadcast to {target}")
@@ -450,7 +452,8 @@ class GraphBuilder:
             if not isinstance(a, ExprHandle):
                 a = self.constant(a)
             elif a.builder is not self:
-                raise GraphError("cannot combine handles from different builders")
+                raise GraphError(
+                    f"{op}: cannot combine handles from different builders")
             arg_handles.append(a)
         attrs = tuple(attrs)
         n, arity = len(arg_handles), spec.arity
@@ -464,6 +467,8 @@ class GraphBuilder:
             shape = spec.shape(attrs, tuple([h.shape for h in arg_handles]))
         except GraphError as exc:
             raise GraphError(f"{op}: {exc}") from None
+        if attrs and op != "einsum":  # one spelling: np.int64(1) is stored 1
+            attrs = (spec.codec[1](spec.codec[0](attrs[0])),)
         node = PrimNode(op, attrs, tuple(h.nid for h in arg_handles))
         return self._append(node, shape)
 
@@ -689,13 +694,14 @@ def rebuild(gb, g, nid, memo, substitute=None):
 
 def import_graph(gb, sub: TermGraph, bindings: dict) -> ExprHandle:
     """Inline a subgraph into a builder, binding its inputs to handles."""
-    memo: dict[int, ExprHandle] = {}
-    for i in sub.inputs:
-        name = sub.nodes[i].name
-        if name in bindings:
-            memo[i] = bindings[name]
-        elif sub.reachable()[i]:
-            raise GraphError(f"import_graph: unbound input {name!r}")
+    memo = {i: bindings[sub.nodes[i].name] for i in sub.inputs
+            if sub.nodes[i].name in bindings}
+    if len(memo) < len(sub.inputs):
+        reach = sub.reachable()
+        for i in sub.inputs:
+            if i not in memo and reach[i]:
+                raise GraphError(
+                    f"import_graph: unbound input {sub.nodes[i].name!r}")
     return rebuild(gb, sub, sub.output, memo)
 
 

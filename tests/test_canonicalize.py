@@ -161,8 +161,16 @@ class TestCanonicalize:
         g = fx.graph()
         cf = canonicalize(g)
         assert is_canonical(cf.graph)
+        atoms = set()  # the non-constant factors of the monomials
+        for root in cf.monomials:
+            node = cf.graph.nodes[root]
+            if isinstance(node, PrimNode) and node.op == "einsum":
+                atoms.update(a for a in node.args
+                             if not isinstance(cf.graph.nodes[a], ConstNode))
+            elif not isinstance(node, ConstNode):
+                atoms.add(root)
         ops = {}
-        for nid in cf.atoms:
+        for nid in atoms:
             node = cf.graph.nodes[nid]
             if isinstance(node, PrimNode):
                 ops.setdefault(node.op, 0)
@@ -609,13 +617,19 @@ class TestMultiplyOut:
             canonicalize(g, max_rules=7)
         assert "distribute_einsum" in err.value.recent_rules
 
-    def test_alphabet_exhaustion_names_op_and_letters(self):
-        with pytest.raises(CanonicalizationError,
-                           match=re.escape(
-                               "the einsum form of square(power(power("
-                               "square(einsum(x1)), 2), 2)) needs 32 index "
-                               "letters; there are 26")):
-            canonicalize(G.parse(TOO_MANY_LETTERS))
+    @pytest.mark.parametrize("graph, message", [
+        pytest.param(lambda: G.parse(TOO_MANY_LETTERS),
+                     "square(power(power(square(einsum(x1)), 2), 2)) needs "
+                     "32", id="nested"),
+        # 14 output letters plus 14 private ones for y's size-1 axes
+        pytest.param(lambda: G.build(lambda x, y: G.sum_all(x * y),
+                                     [("x", (2,) * 14), ("y", (1,) * 14)]),
+                     "multiply(x, y) needs 28", id="broadcast"),
+    ])
+    def test_alphabet_exhaustion_names_op_and_letters(self, graph, message):
+        with pytest.raises(CanonicalizationError, match=re.escape(
+                f"the einsum form of {message} index letters; there are 26")):
+            canonicalize(graph())
 
 
 class TestLikeTerms:

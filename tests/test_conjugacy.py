@@ -495,16 +495,26 @@ class TestMultilinearRepr:
         by_var = {blk.name: {s.input_name for s in blk.stats}
                   for blk in mrepr.blocks}
         ne = mrepr.neg_energy
-        from symconj.canonicalize import index_monomials
-        monomials, _ = index_monomials(ne)
-        for m in monomials:
+        from symconj.canonicalize import monomials
+        for root in monomials(ne):
+            node = ne.nodes[root]
+            factors = (node.args if getattr(node, "op", None) == "einsum"
+                       else (root,))
             touched = set()
-            for fid in m.factors:
+            for fid in factors:
                 node = ne.nodes[fid]
                 for var, names in by_var.items():
                     if isinstance(node, InputNode) and node.name in names:
                         touched.add(var)
             assert len(touched) <= 1
+
+    def test_unknown_block_name_raises(self):
+        g = G.build(lambda a, c: c * a - 0.5 * G.square(a),
+                    [("a", (), "REAL"), ("c", ())])
+        mrepr = multilinear_repr(g, argnums=(0,), supports=(SupportType.REAL,))
+        with pytest.raises(ConjugacyError,
+                           match="^no latent block named 'c'$"):
+            mrepr.block("c")
 
     def test_support_tag_conflict_warns(self):
         # input tagged REAL, but the caller asks NONNEGATIVE: the explicit

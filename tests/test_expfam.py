@@ -85,14 +85,32 @@ class TestLogNormalizer:
             lambda z: np.exp(59.5 * np.log(z) + 39.5 * np.log1p(-z)), 0, 1)
         assert abs(d.log_normalizer() - np.log(val)) < 1e-8
 
-    def test_domain_violation(self):
-        with pytest.raises(NaturalDomainError):
-            E.Distribution(REG.get("Gamma"),
-                           {"identity": np.asarray(1.0), "log": np.asarray(0.0)})
-        with pytest.raises(NaturalDomainError):
-            E.Distribution(REG.get("Normal"),
-                           {"identity": np.asarray(0.0),
-                            "square": np.asarray(0.5)})
+    @pytest.mark.parametrize("name, nat, message", [
+        pytest.param("Gamma", {"identity": 1.0, "log": 0.0},
+                     "rate-side parameter", id="Gamma-rate"),
+        pytest.param("Gamma", {"identity": -1.0, "log": -2.0},
+                     "shape-side parameter", id="Gamma-shape"),
+        pytest.param("Normal", {"identity": 0.0, "square": 0.5},
+                     "square-statistic parameter", id="Normal-square"),
+        pytest.param("Normal", {"identity": np.inf, "square": -0.5},
+                     "location parameter", id="Normal-location"),
+        pytest.param("Bernoulli", {"identity": np.nan}, "logit",
+                     id="Bernoulli"),
+        pytest.param("Categorical", {"one_hot": [0.0, np.inf, 1.0]},
+                     "logits", id="Categorical"),
+        pytest.param("Beta", {"log": 0.0, "log1p_neg": -2.0},
+                     "pseudo-count", id="Beta"),
+        pytest.param("Dirichlet", {"log": [0.0, -1.5, 2.0]},
+                     "parameters must exceed", id="Dirichlet"),
+        pytest.param("MultivariateNormal", {
+            "identity": np.zeros(2),
+            "outer": np.array([[-0.5, 0.0], [0.0, 0.5]])},
+            "not positive definite", id="MultivariateNormal"),
+    ])
+    def test_domain_violation(self, name, nat, message):
+        nat = {k: np.asarray(v, dtype=np.float64) for k, v in nat.items()}
+        with pytest.raises(NaturalDomainError, match=f"^{name}: .*{message}"):
+            E.Distribution(REG.get(name), nat)
 
 
 def _mvn_partial(rng):

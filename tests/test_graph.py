@@ -144,6 +144,21 @@ class TestBuilderChecks:
          "logsumexp: needs an integer attribute, got 0.0"),
         (lambda gb, a, b, m, s: gb.prim("broadcast_to", (a,), ((2.5,),)),
          "broadcast_to: needs an integer attribute, got 2.5"),
+        (lambda gb, a, b, m, s: gb.prim("broadcast_to", (m,), (3,)),
+         "broadcast_to: needs a shape sequence, got 3"),
+        (lambda gb, a, b, m, s: gb.input("a", (3,)),
+         "duplicate input name 'a'"),
+        (lambda gb, a, b, m, s: gb.input("2a", ()),
+         "invalid input name '2a'"),
+        (lambda gb, a, b, m, s: gb.prim(
+            "log", (G.GraphBuilder().input("z", ()),)),
+         "log: cannot combine handles from different builders"),
+        (lambda gb, a, b, m, s: gb.finish(G.GraphBuilder().input("z", ())),
+         "finish() requires a handle from this builder"),
+        (lambda gb, a, b, m, s: gb.input_handle("q"),
+         "builder has no input named 'q'"),
+        (lambda gb, a, b, m, s: G.einsum("->"),
+         "einsum needs at least one operand"),
     ])
     def test_malformed_node_rejected(self, build, message):
         gb = G.GraphBuilder()
@@ -161,6 +176,14 @@ class TestBuilderChecks:
         assert gb.prim("broadcast_to", (m,),
                        ((np.int64(5), 2, 3),)).shape == (5, 2, 3)
 
+        def root_hash(op, attr):  # one node and one digest per spelling
+            gb = G.GraphBuilder()
+            g = gb.finish(gb.prim(op, (gb.input("m", (2, 3)),), (attr,)))
+            return g.structural_hashes()[g.output]
+        assert root_hash("sum_axis", np.int64(1)) == root_hash("sum_axis", 1)
+        assert (root_hash("broadcast_to", (np.int64(5), 2, 3))
+                == root_hash("broadcast_to", (5, 2, 3)))
+
     def test_build_hash_conses(self):
         g = beta_bernoulli_graph()
         logs = [n for n in g.nodes if isinstance(n, G.PrimNode)
@@ -173,12 +196,27 @@ class TestBuilderChecks:
         ("prim n1 log x y", "log: argument count 2, expected 1"),
         ("prim n1 einsum [junk] x",
          "formula 'junk' must contain exactly one '->'"),
+        ("bogus n1 x", "unknown record 'bogus'"),
+        ("input z 3", "bad shape token '3'"),
     ])
     def test_parse_reports_the_op_and_line(self, record, message):
         text = f"input x (3,)\ninput y (3,)\n{record}\noutput n1\n"
         with pytest.raises(GraphError, match=re.escape(
                 f"parse error at line 3: {message}")):
             G.parse(text)
+
+    def test_lookups_name_what_is_missing(self):
+        with pytest.raises(GraphError, match="^parse error: no output record$"):
+            G.parse("input x (3,)\n")
+        g = G.build(lambda x, y: G.sum_all(x * y), [("x", (3,)), ("y", (3,))])
+        with pytest.raises(GraphError, match="^no input named 'q'$"):
+            g.input_id("q")
+        gb = G.GraphBuilder()
+        with pytest.raises(GraphError,
+                           match="^import_graph: unbound input 'y'$"):
+            G.import_graph(gb, g, {"x": gb.input("x", (3,))})
+        with pytest.raises(GraphError, match="^unknown dump format 'yaml'$"):
+            G.dump(g, "yaml")
 
 
 class TestEvaluate:
