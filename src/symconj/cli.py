@@ -27,7 +27,7 @@ import numpy as np
 
 from . import graph as G
 from .canonicalize import canonicalize, is_canonical
-from .conjugacy import complete_conditional, multilinear_repr
+from .conjugacy import _as_support, complete_conditional, multilinear_repr
 from .errors import (
     ConjugacyError, GraphError, NonTerminationError, SymconjError,
 )
@@ -54,35 +54,37 @@ def _load_graph(spec_str):
             f"readable file")
 
 
+def _fixture(name):
+    try:
+        return fixture(name)
+    except KeyError as exc:  # models.fixture's lookup error
+        raise GraphError(exc.args[0]) from None
+
+
 def read_argfile(path):
     """Argument file: blocks of a `name d0 d1 ...` shape header line
     followed by whitespace-separated numbers."""
-    values = {}
-    with open(path) as fh:
-        tokens_left = 0
-        name = None
-        shape = ()
-        buf = []
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if tokens_left == 0:
-                name = toks[0]
-                shape = tuple(int(t) for t in toks[1:])
-                tokens_left = int(np.prod(shape)) if shape else 1
-                buf = []
+    try:
+        with open(path) as fh:
+            lines = [ln for ln in map(str.strip, fh)
+                     if ln and not ln.startswith("#")]
+    except OSError as exc:
+        raise GraphError(f"argfile {path}: {exc.strerror}") from None
+    values, name = {}, None
+    for line in lines:
+        try:
+            if name is None:
+                name, *dims = line.split()
+                shape, buf = tuple(map(int, dims)), []
             else:
-                for t in toks:
-                    buf.append(float(t))
-                    tokens_left -= 1
-                if tokens_left < 0:
-                    raise GraphError(f"argfile {path}: too many values for {name}")
-            if tokens_left == 0 and name is not None:
-                values[name] = np.array(buf).reshape(shape)
-                name = None
-    if tokens_left != 0:
+                buf += map(float, line.split())
+        except ValueError:
+            raise GraphError(f"argfile {path}: bad line {line!r}") from None
+        if len(buf) > np.prod(shape):
+            raise GraphError(f"argfile {path}: too many values for {name}")
+        if len(buf) == np.prod(shape):
+            values[name], name = np.array(buf).reshape(shape), None
+    if name is not None:
         raise GraphError(f"argfile {path}: truncated block for {name}")
     return values
 
@@ -164,14 +166,10 @@ def cmd_conditional(args):
     g = _load_graph(args.model)
     argnum = _resolve_var(g, args.var)
     var = g.input_names[argnum]
-    if args.support:
-        support = SupportType[args.support]
-    else:
-        tag = g.nodes[g.input_id(var)].support
-        if tag is None:
-            raise GraphError(
-                f"input {var!r} has no support tag; pass --support")
-        support = SupportType[tag]
+    support = args.support or g.nodes[g.input_id(var)].support
+    if support is None:
+        raise GraphError(f"input {var!r} has no support tag; pass --support")
+    factory = complete_conditional(g, argnum, support)
     if args.at:
         env = read_argfile(args.at)
     else:
@@ -179,14 +177,15 @@ def cmd_conditional(args):
         if fx is None:
             raise GraphError("no --at argfile and model is not a fixture")
         env = fx.example_args(args.seed)
-    factory = complete_conditional(g, argnum, support)
-    rest = [env[n] for n in factory.arg_names]
-    print(factory(*rest).describe())
+    missing = [n for n in factory.arg_names if n not in env]
+    if missing:
+        raise GraphError(f"argfile {args.at}: no values for {missing}")
+    print(factory(*[env[n] for n in factory.arg_names]).describe())
     return EXIT_OK
 
 
 def cmd_infer(args):
-    fx = fixture(args.model)
+    fx = _fixture(args.model)
     g = fx.graph()
     values = fx.example_args(args.seed)
     latent_names = [g.input_names[argnum] for argnum, _ in fx.latents]
@@ -306,10 +305,10 @@ def _check_conjugacy(report, extra_model=None):
             ok = ok and fac.family.name == fx.expected_families[var]
         report(f"conjugacy/{fx.name}/families", ok)
     if extra_model is not None:
+        g = _load_graph(extra_model)
+        support = _as_support(g.nodes[g.inputs[0]].support or "REAL")
         try:
-            g = _load_graph(extra_model)
-            var0_support = g.nodes[g.inputs[0]].support or "REAL"
-            complete_conditional(g, 0, SupportType[var0_support])
+            complete_conditional(g, 0, support)
             report(f"conjugacy/model:{extra_model}", True)
         except SymconjError as exc:
             print(f"  ({exc})")

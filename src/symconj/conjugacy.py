@@ -1,15 +1,16 @@
 """Sufficient-statistic discovery and the conjugacy transforms.
 
-Given a canonicalized log density, the statistics of a variable ``z`` are
-found in one walk over the sum of monomials: monomials not touching ``z``
-are copied, a monomial touching ``z`` through one einsum slot holds either
-the bare input (identity statistic) or the nonlinear atom in that slot
-(log z, log(1-z), one_hot(z), ...), and a monomial with two bare ``z``
-slots is split so the quadratic part becomes its own einsum statistic
-(elementwise square when the two slots share subscripts, an outer product
-otherwise) with the var-independent operands left behind as the
-coefficient. Each statistic is replaced by a fresh input as it is found,
-so the walk yields the energy polynomial g over statistic values.
+Given a canonicalized log density, the statistics of every target
+variable are found in one walk over its monomial roots. For each target
+``z`` a monomial touches, an einsum slot depending on ``z`` holds either
+the bare input (identity statistic) or a nonlinear atom of ``z`` (log z,
+log(1-z), one_hot(z), ...), and a monomial with two bare ``z`` slots is
+split so the quadratic part becomes its own einsum statistic (elementwise
+square when the two slots share subscripts, an outer product otherwise)
+with the other operands left behind as the coefficient. One copy of the
+canonical graph, keeping its add spine, then puts a fresh input in place
+of each statistic and yields the energy polynomial g over statistic
+values.
 
 g is multiaffine in a variable's statistics when every monomial holds at
 most one of them, as a direct einsum operand. The natural parameter of a
@@ -136,33 +137,29 @@ def _classify_atom(g, nid, vid):
     return None
 
 
-def find_sufficient_statistics(g, var):
-    """Walk a canonical graph (or :class:`CanonicalForm`) once, collecting
-    the statistics of ``var`` and putting the input
-    ``_stat_{var}_{descriptor}`` in place of each one as it is found.
+def find_sufficient_statistics(g, *names):
+    """Walk the monomials of a canonical graph (or :class:`CanonicalForm`)
+    once, collecting the statistics of each variable in ``names``, then
+    copy the graph once, its add spine kept, with the input
+    ``_stat_{var}_{descriptor}`` in place of each statistic.
 
-    Returns ``(stats, energy)``: the :class:`StatisticSet` and the
+    Returns one :class:`StatisticSet` per name, then the energy: the
     canonical graph over the statistic inputs. Residual atoms are copied.
     """
     if isinstance(g, CanonicalForm):
         g, roots = g.graph, g.monomials
     else:
         roots = monomials(g)
-    vid = g.input_id(var)
-    dep = g.depends_on([vid])
-
+    vids = [g.input_id(var) for var in names]
+    targets = [(var, vid, g.depends_on([vid]), {}, set())
+               for var, vid in zip(names, vids)]
     gb = GraphBuilder()
     memo: dict[int, object] = {}
     for i in g.inputs:
-        if i != vid:
+        if i not in vids:
             G.rebuild(gb, g, i, memo)
-    stats: dict[str, TermGraph] = {}
-    residual = set()
 
-    def emit(i):
-        return G.rebuild(gb, g, i, memo)
-
-    def found(desc, stat):
+    def found(var, stats, desc, stat):
         """The energy input standing for statistic graph ``stat``."""
         name = _stat_input_name(var, desc)
         if desc not in stats:
@@ -176,53 +173,50 @@ def find_sufficient_statistics(g, var):
                 f"{desc} statistics; not a recognized structure")
         return gb.input_handle(name)
 
-    def classify(a):
-        if a not in memo:
-            desc = _classify_atom(g, a, vid)
-            if desc is None:
-                residual.add(a)
-            else:
-                memo[a] = found(desc, subgraph(g, a))
-
-    def split_quadratic(node, bare):
-        """The monomial with its two bare slots as one statistic."""
-        spec = espec(node.attrs[0])
-        s1, s2 = (spec.operand_subscripts[pos] for pos in bare)
-        merged = "".join(dict.fromkeys(s1 + s2))
-        sb = GraphBuilder()
-        z = G.rebuild(sb, g, vid, {})
-        stat = sb.finish(sb.prim("einsum", (z, z), (f"{s1},{s2}->{merged}",)))
-        kept = [pos for pos in range(len(node.args)) if pos not in bare]
-        ops = ([found("square" if s1 == s2 else "outer", stat)]
-               + [emit(node.args[pos]) for pos in kept])
-        subs = [merged] + [spec.operand_subscripts[pos] for pos in kept]
-        return gb.prim("einsum", ops, (",".join(subs) + "->" + spec.output,))
-
-    terms = []
+    quadratic = {}  # monomial root -> [(statistic, its subscripts, slots)]
     for root in roots:
         node = g.nodes[root]
-        if not dep[root]:
-            terms.append(emit(root))
-        elif not (isinstance(node, PrimNode) and node.op == "einsum"):
-            classify(root)
-            terms.append(emit(root))
-        else:
-            bare = [pos for pos, a in enumerate(node.args) if a == vid]
-            for a in node.args:
-                if dep[a] and (a != vid or len(bare) == 1):
-                    classify(a)
-            if len(bare) == 2:
-                terms.append(split_quadratic(node, bare))
-            else:
-                if len(bare) > 2:
-                    residual.add(root)
-                terms.append(emit(root))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = gb.prim("add", (t, acc))
-    graphs = {d: stats[d] for d in DESCRIPTORS if d in stats}
-    residual = tuple(G.render(g, a) for a in sorted(residual))
-    return StatisticSet(var, graphs, residual), gb.finish(acc)
+        is_einsum = isinstance(node, PrimNode) and node.op == "einsum"
+        args = node.args if is_einsum else (root,)
+        for var, vid, dep, stats, residual in targets:
+            if not dep[root]:
+                continue
+            bare = [pos for pos, a in enumerate(args) if a == vid]
+            for a in args:
+                if dep[a] and (a != vid or len(bare) == 1) and a not in memo:
+                    desc = _classify_atom(g, a, vid)
+                    if desc is None:
+                        residual.add(a)
+                    else:
+                        memo[a] = found(var, stats, desc, subgraph(g, a))
+            if len(bare) > 2:
+                residual.add(root)
+            elif len(bare) == 2:  # the two bare slots become one statistic
+                s1, s2 = (espec(node.attrs[0]).operand_subscripts[pos]
+                          for pos in bare)
+                merged = "".join(dict.fromkeys(s1 + s2))
+                stat = G.build(
+                    lambda z: G.einsum(f"{s1},{s2}->{merged}", z, z),
+                    [(var, g.shapes[vid], g.nodes[vid].support)], scalar=False)
+                quadratic.setdefault(root, []).append((found(
+                    var, stats, "square" if s1 == s2 else "outer", stat),
+                    merged, bare))
+    for root, parts in quadratic.items():
+        node = g.nodes[root]
+        spec = espec(node.attrs[0])
+        split = {pos for *_, bare in parts for pos in bare}
+        kept = [pos for pos in range(len(node.args)) if pos not in split]
+        ops = ([h for h, *_ in parts]
+               + [G.rebuild(gb, g, node.args[pos], memo) for pos in kept])
+        subs = ([s for _, s, _ in parts]
+                + [spec.operand_subscripts[pos] for pos in kept])
+        memo[root] = gb.prim("einsum", ops,
+                             (",".join(subs) + "->" + spec.output,))
+    energy = gb.finish(G.rebuild(gb, g, g.output, memo))
+    sets = [StatisticSet(var, {d: stats[d] for d in DESCRIPTORS if d in stats},
+                         tuple(G.render(g, a) for a in sorted(residual)))
+            for var, _, _, stats, residual in targets]
+    return (*sets, energy)
 
 
 def _stat_input_name(var, desc):
@@ -263,15 +257,15 @@ def extract_natural_parameters(energy, stats: StatisticSet, others=()):
     most one of the variable's statistics, as a direct einsum operand, and
     then names the inputs of ``stats`` and ``others`` by their statistics.
     """
-    stat_names = {d: _stat_input_name(stats.var, d) for d in stats.graphs}
-    own = {energy.input_id(name): desc for desc, name in stat_names.items()}
+    own = {energy.input_id(_stat_input_name(stats.var, d)): d
+           for d in stats.graphs}
     dep = energy.depends_on(own)
     gb = GraphBuilder()
     memo = {}
     for i in energy.inputs:
         G.rebuild(gb, energy, i, memo)
     one = gb.constant(1.0)
-    parts = {desc: [] for desc in stat_names}
+    parts = {desc: [] for desc in stats.graphs}
     for root in monomials(energy):
         if not dep[root]:
             continue
@@ -292,15 +286,9 @@ def extract_natural_parameters(energy, stats: StatisticSet, others=()):
                 gb, node.attrs[0], args, one, node.args.index(held[0]))))
         else:  # a lone scalar statistic
             parts[own[root]].append(one)
-    etas = {}
-    for desc, name in stat_names.items():
-        terms = parts[desc] or [
-            gb.constant(np.zeros(energy.shapes[energy.input_id(name)]))]
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = gb.prim("add", (acc, t))
-        etas[desc] = local_simplify(gb.finish(acc))
-    return etas
+    # each discovered statistic is a direct operand of some monomial
+    return {desc: local_simplify(gb.finish(sum(terms[1:], terms[0])))
+            for desc, terms in parts.items()}
 
 
 def _check_support_tag(g, var, support):
@@ -315,9 +303,9 @@ def _check_support_tag(g, var, support):
 
 def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
     """The one conjugacy analysis behind the three transforms: canonicalize
-    once per graph object, walk the energy once per target to put inputs in
-    place of its statistics and match its family, then read each target's
-    natural parameters off the energy's monomials."""
+    once per graph object, walk its monomials once for all targets to put
+    inputs in place of their statistics, match each target's family, then
+    read each target's natural parameters off the energy's monomials."""
     names = log_joint.input_names
     if ((np.ndim(argnums), np.ndim(supports)) != (1, 1)
             or len(argnums) != len(supports)):
@@ -338,21 +326,20 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
 
     if log_joint._canonical is None:  # kept for the graph's next transform
         log_joint._canonical = canonicalize(log_joint)
-    energy = log_joint._canonical.graph
-    found = []
-    for var, support in targets:
-        stats, energy = find_sufficient_statistics(energy, var)
+    *found, energy = find_sufficient_statistics(
+        log_joint._canonical, *[var for var, _ in targets])
+    families = []
+    for (var, support), stats in zip(targets, found):
         if stats.residual:
             raise UnknownFamilyError(
                 f"variable {var!r} appears inside unrecognized atoms "
                 f"{list(stats.residual)}; discovered statistics "
                 f"{sorted(stats.descriptors)}", atoms=stats.residual)
-        found.append((stats, BUILTIN.lookup(support, stats.descriptors)))
+        families.append(BUILTIN.lookup(support, stats.descriptors))
 
     blocks = []
-    for (var, _), (stats, family) in zip(targets, found):
-        etas = extract_natural_parameters(energy, stats,
-                                          [s for s, _ in found])
+    for (var, _), stats, family in zip(targets, found, families):
+        etas = extract_natural_parameters(energy, stats, found)
         blocks.append(LatentBlock(
             name=var, family=family, stats=tuple(StatEntry(
                 descriptor=d, input_name=_stat_input_name(var, d),

@@ -333,39 +333,32 @@ class ExprHandle:
     def shape(self):
         return self.builder._shapes[self.nid]
 
-    def _lift(self, other):
-        if isinstance(other, ExprHandle):
-            if other.builder is not self.builder:
-                raise GraphError("cannot combine handles from different builders")
-            return other
-        return self.builder.constant(other)
-
     def __add__(self, other):
-        return self.builder.prim("add", (self, self._lift(other)))
+        return self.builder.prim("add", (self, other))
 
     def __radd__(self, other):
-        return self._lift(other).__add__(self)
+        return self.builder.prim("add", (other, self))
 
     def __sub__(self, other):
-        return self.builder.prim("subtract", (self, self._lift(other)))
+        return self.builder.prim("subtract", (self, other))
 
     def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
+        return self.builder.prim("subtract", (other, self))
 
     def __mul__(self, other):
-        return self.builder.prim("multiply", (self, self._lift(other)))
+        return self.builder.prim("multiply", (self, other))
 
     def __rmul__(self, other):
-        return self._lift(other).__mul__(self)
+        return self.builder.prim("multiply", (other, self))
 
     def __truediv__(self, other):
-        return self.builder.prim("divide", (self, self._lift(other)))
+        return self.builder.prim("divide", (self, other))
 
     def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
+        return self.builder.prim("divide", (other, self))
 
     def __pow__(self, other):
-        return self.builder.prim("power", (self, self._lift(other)))
+        return self.builder.prim("power", (self, other))
 
     def __neg__(self):
         return self.builder.prim("negate", (self,))
@@ -415,14 +408,22 @@ class GraphBuilder:
         return self._digest_id(h.nid)
 
     def _digest_id(self, nid):
+        """Digest of node ``nid``: each node is digested once, after its
+        arguments, on an explicit stack."""
         d = self._digests.get(nid)
-        if d is None:
-            node = self._nodes[nid]
+        if d is not None:
+            return d
+        digests, stack = self._digests, [nid]
+        while stack:
+            i = stack[-1]
+            node = self._nodes[i]
             if isinstance(node, PrimNode):
                 for a in node.args:
-                    self._digest_id(a)
-            d = self._digests[nid] = _node_digest(node, self._digests)
-        return d
+                    if a not in digests:
+                        stack.append(a)
+            if stack[-1] == i:  # its arguments are digested
+                digests[stack.pop()] = _node_digest(node, digests)
+        return digests[nid]
 
     def input_handle(self, name) -> "ExprHandle":
         for i in self._inputs:
@@ -507,27 +508,30 @@ inverse = _unary("inverse")
 logdet = _unary("logdet")
 
 
-def einsum(formula: str, *args: ExprHandle) -> ExprHandle:
-    if not args:
-        raise GraphError("einsum needs at least one operand")
-    return args[0].builder.prim("einsum", args, attrs=(formula,))
+def einsum(formula: str, *args) -> ExprHandle:
+    """Einsum of operands, in the builder of the first handle among them;
+    the other operands may be constants."""
+    h = next((a for a in args if isinstance(a, ExprHandle)), None)
+    if h is None:
+        raise GraphError("einsum needs at least one "
+                         + ("handle operand" if args else "operand"))
+    return h.builder.prim("einsum", args, attrs=(formula,))
 
 
 def one_hot(x: ExprHandle, depth: int) -> ExprHandle:
-    return x.builder.prim("one_hot", (x,), attrs=(int(depth),))
+    return x.builder.prim("one_hot", (x,), attrs=(depth,))
 
 
 def sum_axis(x: ExprHandle, axis: int) -> ExprHandle:
-    return x.builder.prim("sum_axis", (x,), attrs=(int(axis),))
+    return x.builder.prim("sum_axis", (x,), attrs=(axis,))
 
 
 def logsumexp(x: ExprHandle, axis: int) -> ExprHandle:
-    return x.builder.prim("logsumexp", (x,), attrs=(int(axis),))
+    return x.builder.prim("logsumexp", (x,), attrs=(axis,))
 
 
 def broadcast_to(x: ExprHandle, shape) -> ExprHandle:
-    return x.builder.prim("broadcast_to", (x,),
-                          attrs=(tuple(int(d) for d in shape),))
+    return x.builder.prim("broadcast_to", (x,), attrs=(shape,))
 
 
 def sum_all(x: ExprHandle) -> ExprHandle:

@@ -258,6 +258,19 @@ class TestCanonicalize:
         env.update(a=0.7, b=2.3)
         assert env_scale_err(g, cf.graph, env) < 1e-12
 
+    def test_deep_atom_chain(self):
+        # the sweep's einsum sort key digests the 1,200-deep log1p chain
+        def model(x, c):
+            h = x
+            for _ in range(1200):
+                h = G.log1p(h)
+            return h * c + x
+        g = G.build(model, [("x", (), "NONNEGATIVE"), ("c", ())])
+        cf = canonicalize(g)
+        assert len(cf.monomials) == 2
+        env = {"x": 0.7, "c": 1.3}
+        assert env_scale_err(g, cf.graph, env) < 1e-12
+
     def test_rewrite_corpus_idempotence(self):
         changed = []
         for seed in (1, 2, 5, 9):

@@ -6,6 +6,8 @@ import numpy as np
 
 HERE = os.path.dirname(__file__)
 CORRUPT = os.path.join(HERE, "data", "corrupt_model.txt")
+UNKNOWN_TAG_MODEL = ("# symconj-graph v1\ninput x (3) FOO\ninput c (3)\n"
+                     "prim n2 einsum [i,i->] x c\noutput n2\n")
 
 
 def run_cli(*argv, cwd=None):
@@ -107,6 +109,31 @@ class TestConditionalCmd:
         assert r.returncode == 2
 
 
+    def test_unknown_support_tag_exits_2(self, tmp_path):
+        model = tmp_path / "f.txt"
+        model.write_text(UNKNOWN_TAG_MODEL)
+        r = run_cli("conditional", str(model), "--var", "x")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: unknown support 'FOO'")
+
+    def test_non_integer_argfile_shape_exits_2(self, tmp_path):
+        argfile = tmp_path / "args.txt"
+        argfile.write_text("prob 1.5\n0.3\n")
+        r = run_cli("conditional", "beta_bernoulli", "--var", "prob",
+                    "--at", str(argfile))
+        assert r.returncode == 2
+        assert r.stderr == (f"error: argfile {argfile}: bad line "
+                            f"'prob 1.5'\n")
+
+    def test_argfile_missing_an_argument_exits_2(self, tmp_path):
+        argfile = tmp_path / "args.txt"
+        argfile.write_text("n_heads\n60\nn_draws\n100\n")
+        r = run_cli("conditional", "beta_bernoulli", "--var", "prob",
+                    "--at", str(argfile))
+        assert r.returncode == 2
+        assert r.stderr == (f"error: argfile {argfile}: no values for "
+                            f"['prior_a', 'prior_b']\n")
+
 class TestInferCmd:
     def test_zero_iters_empty_trace(self, tmp_path):
         trace = tmp_path / "t.tsv"
@@ -148,6 +175,11 @@ class TestInferCmd:
         assert "polyline" in svg
 
 
+    def test_unknown_fixture_exits_2(self):
+        r = run_cli("infer", "nosuch", "--algo", "gibbs")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: no fixture named 'nosuch'")
+
 class TestCheckCmd:
     def test_rewrite_suite_passes(self):
         r = run_cli("check", "--suite", "rewrite")
@@ -162,6 +194,13 @@ class TestCheckCmd:
         r = run_cli("check", "--suite", "conjugacy", "--model", CORRUPT)
         assert r.returncode == 1
         assert "FAIL" in r.stdout
+
+    def test_unknown_support_tag_in_model_exits_2(self, tmp_path):
+        model = tmp_path / "f.txt"
+        model.write_text(UNKNOWN_TAG_MODEL)
+        r = run_cli("check", "--suite", "conjugacy", "--model", str(model))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: unknown support 'FOO'")
 
     def test_bad_suite_usage_error(self):
         r = run_cli("check", "--suite", "bogus")

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from symconj import conjugacy, models
 from symconj import graph as G
-from symconj.canonicalize import canonicalize, normalize_graph
+from symconj.canonicalize import canonicalize, monomials, normalize_graph
 from symconj.conjugacy import (
     complete_conditional, extract_natural_parameters,
     find_sufficient_statistics, marginalize, multilinear_repr,
@@ -507,6 +507,26 @@ class TestMultilinearRepr:
                     if isinstance(node, InputNode) and node.name in names:
                         touched.add(var)
             assert len(touched) <= 1
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in models.fixtures() if f.latents])
+    def test_one_walk_for_all_targets(self, name):
+        # the joint walk finds each target's statistics as a walk for that
+        # target alone does, and its energy keeps the canonical monomials
+        fx = fixture(name)
+        g = fx.graph()
+        cf = canonicalize(g)
+        names = [g.input_names[a] for a, _ in fx.latents]
+        *joint, _ = find_sufficient_statistics(cf, *names)
+        for var, stats in zip(names, joint):
+            alone, _ = find_sufficient_statistics(cf, var)
+            assert stats.var == var and stats.residual == alone.residual
+            assert list(stats.graphs) == list(alone.graphs)
+            for d, sg in alone.graphs.items():
+                assert G.graph_equal(stats.graphs[d], sg)
+        mr = multilinear_repr(g, [a for a, _ in fx.latents],
+                              [s for _, s in fx.latents])
+        assert len(monomials(mr.neg_energy)) == len(cf.monomials)
 
     def test_unknown_block_name_raises(self):
         g = G.build(lambda a, c: c * a - 0.5 * G.square(a),

@@ -159,6 +159,24 @@ class TestBuilderChecks:
          "builder has no input named 'q'"),
         (lambda gb, a, b, m, s: G.einsum("->"),
          "einsum needs at least one operand"),
+        (lambda gb, a, b, m, s: a + G.GraphBuilder().input("z", (3,)),
+         "add: cannot combine handles from different builders"),
+        (lambda gb, a, b, m, s: 2.0 * G.GraphBuilder().input("z", (3,)) - a,
+         "subtract: cannot combine handles from different builders"),
+        (lambda gb, a, b, m, s: G.one_hot(a, 2.7),
+         "one_hot: needs an integer attribute, got 2.7"),
+        pytest.param(lambda gb, a, b, m, s: G.one_hot(a, True),
+                     "one_hot: needs an integer attribute, got True",
+                     id="combinator-one_hot-True"),
+        (lambda gb, a, b, m, s: G.sum_axis(m, 0.9),
+         "sum_axis: needs an integer attribute, got 0.9"),
+        (lambda gb, a, b, m, s: G.logsumexp(m, False),
+         "logsumexp: needs an integer attribute, got False"),
+        pytest.param(lambda gb, a, b, m, s: G.broadcast_to(m, 3),
+                     "broadcast_to: needs a shape sequence, got 3",
+                     id="combinator-broadcast_to-3"),
+        (lambda gb, a, b, m, s: G.einsum("i->", np.ones(3)),
+         "einsum needs at least one handle operand"),
     ])
     def test_malformed_node_rejected(self, build, message):
         gb = G.GraphBuilder()
@@ -183,6 +201,14 @@ class TestBuilderChecks:
         assert root_hash("sum_axis", np.int64(1)) == root_hash("sum_axis", 1)
         assert (root_hash("broadcast_to", (np.int64(5), 2, 3))
                 == root_hash("broadcast_to", (5, 2, 3)))
+
+    def test_einsum_takes_the_builder_of_its_first_handle(self):
+        gb = G.GraphBuilder()
+        x = gb.input("x", (3,))
+        h = G.einsum("i,i->", np.ones(3), x)
+        assert h.builder is gb and h.shape == ()
+        g = gb.finish(h)
+        assert float(G.evaluate(g, {"x": np.arange(3.0)})) == 3.0
 
     def test_build_hash_conses(self):
         g = beta_bernoulli_graph()
