@@ -48,10 +48,10 @@ def _load_graph(spec_str):
     try:
         with open(spec_str) as fh:
             return G.parse(fh.read())
-    except FileNotFoundError:
+    except OSError as exc:
         raise GraphError(
             f"{spec_str!r} is neither a fixture ({', '.join(names)}) nor a "
-            f"readable file")
+            f"readable file: {exc.strerror}") from None
 
 
 def _fixture(name):
@@ -75,6 +75,8 @@ def read_argfile(path):
         try:
             if name is None:
                 name, *dims = line.split()
+                if name in values:
+                    raise GraphError(f"argfile {path}: {name} given twice")
                 shape, buf = tuple(map(int, dims)), []
             else:
                 buf += map(float, line.split())

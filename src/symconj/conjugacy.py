@@ -14,10 +14,10 @@ values.
 
 g is multiaffine in a variable's statistics when every monomial holds at
 most one of them, as a direct einsum operand. The natural parameter of a
-statistic t is then the coefficient t carries, read off the monomials
-holding t; it equals the gradient of g with respect to t, which the tests
-check against :func:`graph.grad` and against differences of g; an
-``outer`` parameter is extracted symmetric, the only part z z^T sees.
+statistic t is then the coefficient t carries in the monomials holding t,
+emitted through one simplifier with no sweep after; it is g's gradient at
+t, checked by the tests against :func:`graph.grad` and differences of g;
+an ``outer`` parameter is made symmetric, the only part z z^T sees.
 
 One analysis, :func:`_analyze`, does all of this for one or several
 target arguments at once and returns a :class:`MultilinearRepr`: the
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import graph as G
 from .canonicalize import (
-    CanonicalForm, canonicalize, local_simplify, monomials,
+    CanonicalForm, _Budget, _Simplifier, canonicalize, monomials,
 )
 from .errors import ConjugacyError, NonMultiaffineError, UnknownFamilyError
 from .expfam import (
@@ -233,38 +233,38 @@ def _held(g, held, own):
     return " and ".join(sorted(map(name, held)))
 
 
-def _symmetric(desc, h):
-    """Einsum handle ``h`` of a ``desc`` parameter; an ``outer`` one is made
-    0.5 (h + h^T) unless its operands are symmetric, as for x x^T."""
-    node = h.builder.node(h)
-    spec = espec(node.attrs[0])
-    out, subs = spec.output, spec.operand_subscripts
+def _symmetric(s, desc, ops, attrs):
+    """Emit a ``desc`` parameter's einsum term h in ``s``; an ``outer`` one is
+    made 0.5 (h + h^T) unless its operands are symmetric, as for x x^T."""
+    h = s.emit("einsum", attrs, ops)
+    spec = espec(attrs[0])
+    out, subs, ids = spec.output, spec.operand_subscripts, [a.nid for a in ops]
     swap = str.maketrans(out[-2:], out[:-3:-1])
-    if desc != "outer" or sorted(zip(subs, node.args)) == sorted(
-            zip([s.translate(swap) for s in subs], node.args)):
+    if desc != "outer" or sorted(zip(subs, ids)) == sorted(
+            zip([t.translate(swap) for t in subs], ids)):
         return h
-    return 0.5 * (h + G.einsum(f"{out}->{out[:-2]}{out[:-3:-1]}", h))
+    ht = s.emit("einsum", (f"{out}->{out[:-2]}{out[:-3:-1]}",), [h])
+    return s.emit("multiply", (), [s.const(0.5), s.emit("add", (), [h, ht])])
 
 
 def extract_natural_parameters(energy, stats: StatisticSet, others=()):
     """Natural parameter graphs of the statistics ``stats`` of one
     variable, read off the monomials of the energy holding them.
 
-    The parameter of statistic t is the sum, over the monomials holding t,
-    of the monomial's vector-Jacobian product at t, simplified once: the
-    coefficient t carries, which is the energy's gradient with respect to
-    t. Raises :class:`NonMultiaffineError` unless every monomial holds at
-    most one of the variable's statistics, as a direct einsum operand, and
-    then names the inputs of ``stats`` and ``others`` by their statistics.
+    The parameter of statistic t is the coefficient t carries, the energy's
+    gradient at t: the sum of the held monomials' vector-Jacobian products
+    at t, emitted through one simplifier per call, so no sweep follows.
+    Raises :class:`NonMultiaffineError` unless every monomial holds at most
+    one of the variable's statistics, as a direct einsum operand, and then
+    names the inputs of ``stats`` and ``others`` by their statistics.
     """
     own = {energy.input_id(_stat_input_name(stats.var, d)): d
            for d in stats.graphs}
     dep = energy.depends_on(own)
-    gb = GraphBuilder()
-    memo = {}
+    s, memo = _Simplifier(_Budget(10000)), {}
     for i in energy.inputs:
-        G.rebuild(gb, energy, i, memo)
-    one = gb.constant(1.0)
+        G.rebuild(s.gb, energy, i, memo)
+    one = s.const(1.0)
     parts = {desc: [] for desc in stats.graphs}
     for root in monomials(energy):
         if not dep[root]:
@@ -273,21 +273,22 @@ def extract_natural_parameters(energy, stats: StatisticSet, others=()):
         is_einsum = isinstance(node, PrimNode) and node.op == "einsum"
         held = [a for a in node.args if dep[a]] if is_einsum else [root]
         if len(held) > 1 or held[0] not in own:
-            shown = {_stat_input_name(s.var, d): G.render(sg, sg.output)
-                     for s in (stats, *others) for d, sg in s.graphs.items()}
+            shown = {_stat_input_name(st.var, d): G.render(sg, sg.output)
+                     for st in (stats, *others) for d, sg in st.graphs.items()}
             raise NonMultiaffineError(
                 f"log density is not multiaffine in the statistics of "
                 f"{stats.var!r}: one monomial, "
                 f"{G.render(energy, root, shown)}, holds "
                 f"{_held(energy, held, own)}")
+        desc = own[held[0]]
         if is_einsum:
-            args = [G.rebuild(gb, energy, a, memo) for a in node.args]
-            parts[own[held[0]]].append(_symmetric(own[held[0]], G._einsum_vjp(
-                gb, node.attrs[0], args, one, node.args.index(held[0]))))
+            args = [G.rebuild(s.gb, energy, a, memo) for a in node.args]
+            parts[desc].append((1.0, _symmetric(s, desc, *G._einsum_vjp(
+                s.gb, node.attrs[0], args, one, node.args.index(held[0])))))
         else:  # a lone scalar statistic
-            parts[own[root]].append(one)
+            parts[desc].append((1.0, one))
     # each discovered statistic is a direct operand of some monomial
-    return {desc: local_simplify(gb.finish(sum(terms[1:], terms[0])))
+    return {desc: G.cse(s.gb.finish(s.realize(s.lazy_sum(*terms))))
             for desc, terms in parts.items()}
 
 

@@ -824,8 +824,7 @@ def _einsum_vjp(gb, formula, arg_handles, cot, k):
                 ops.append(gb.constant(np.ones(n)))
                 parts.append(ell)
             out.append(ell)
-    return gb.prim("einsum", tuple(ops),
-                   attrs=(",".join(parts) + "->" + "".join(out),))
+    return ops, (",".join(parts) + "->" + "".join(out),)
 
 
 def grad(g: TermGraph, wrt: int, wrt_name: str | None = None) -> TermGraph:
@@ -930,7 +929,7 @@ def _vjp(gb, op, attrs, args, out_h, cot, k):
     elif op == "log_gamma":
         return mul(cot, gb.prim("digamma", (args[0],)))
     elif op == "einsum":
-        return _einsum_vjp(gb, attrs[0], args, cot, k)
+        return gb.prim("einsum", *_einsum_vjp(gb, attrs[0], args, cot, k))
     elif op == "sum_axis":
         full = INDEX_ALPHABET[:len(args[0].shape)]
         axis = int(attrs[0]) % len(args[0].shape)
@@ -997,9 +996,14 @@ def render(g: TermGraph, nid: int, names=None) -> str:
 
 
 def _labels(g):
-    labels = {}
+    """Input names, else ``n{i}``, with a ``_`` added while it names an
+    input, so no two records of a dump define one label."""
+    labels, names = {}, set(g.input_names)
     for i, node in enumerate(g.nodes):
-        labels[i] = node.name if isinstance(node, InputNode) else f"n{i}"
+        label = f"n{i}"
+        while label in names:
+            label += "_"
+        labels[i] = node.name if isinstance(node, InputNode) else label
     return labels
 
 
@@ -1038,6 +1042,10 @@ def parse(text: str) -> TermGraph:
         try:
             toks = line.split()
             kind = toks[0]
+            if kind in ("input", "const", "prim") and toks[1] in byname:
+                raise GraphError(f"label {toks[1]!r} is defined twice")
+            if kind == "output" and output is not None:
+                raise GraphError("a second output record")
             if kind == "input":
                 name, shape = toks[1], _parse_shape(toks[2])
                 support = toks[3] if len(toks) > 3 else None

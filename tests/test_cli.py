@@ -55,6 +55,14 @@ class TestCanonicalizeCmd:
         r = run_cli("canonicalize", "not_a_fixture")
         assert r.returncode == 2
 
+    def test_directory_exits_2_with_an_error_line(self, tmp_path):
+        r = run_cli("canonicalize", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: {str(tmp_path)!r} is neither a "
+                                   f"fixture (")
+        assert r.stderr.endswith(") nor a readable file: Is a directory\n")
+        assert r.stderr.count("\n") == 1
+
     def test_budget_exhaustion_exits_3(self, tmp_path):
         from symconj import graph as G
         g = G.build(lambda u, v: G.sum_all(G.square(u + v)),
@@ -133,6 +141,16 @@ class TestConditionalCmd:
         assert r.returncode == 2
         assert r.stderr == (f"error: argfile {argfile}: no values for "
                             f"['prior_a', 'prior_b']\n")
+
+    def test_argfile_name_given_twice_exits_2(self, tmp_path):
+        argfile = tmp_path / "args.txt"
+        argfile.write_text("n_heads\n60\nn_draws\n100\nn_heads\n5\n"
+                           "prior_a\n0.5\nprior_b\n0.5\n")
+        r = run_cli("conditional", "beta_bernoulli", "--var", "prob",
+                    "--at", str(argfile))
+        assert r.returncode == 2
+        assert r.stderr == f"error: argfile {argfile}: n_heads given twice\n"
+
 
 class TestInferCmd:
     def test_zero_iters_empty_trace(self, tmp_path):

@@ -1,12 +1,15 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from symconj import conjugacy, models
+from symconj import conjugacy, expfam, models
 from symconj import graph as G
-from symconj.canonicalize import canonicalize, monomials, normalize_graph
+from symconj.canonicalize import (
+    canonicalize, local_simplify, monomials, normalize_graph,
+)
 from symconj.conjugacy import (
     complete_conditional, extract_natural_parameters,
     find_sufficient_statistics, marginalize, multilinear_repr,
@@ -673,6 +676,25 @@ class TestEtaGraphConstants:
         assert etas and not any(_holds_identity(eg) for eg in etas)
 
 
+class TestEtaIsSweepFixedPoint:
+    """Extraction emits each eta graph through the simplifier, so one more
+    sweep leaves it as it is."""
+
+    @pytest.mark.parametrize(
+        "name", [fx.name for fx in models.fixtures() if fx.latents])
+    def test_conditional_and_joint_etas(self, name):
+        fx = fixture(name)
+        g = fx.graph()
+        etas = [eg for argnum, support in fx.latents
+                for eg in complete_conditional(
+                    g, argnum, support).eta_graphs.values()]
+        mrepr = multilinear_repr(g, argnums=[a for a, _ in fx.latents],
+                                 supports=[s for _, s in fx.latents])
+        etas += [s.eta_graph for blk in mrepr.blocks for s in blk.stats]
+        for eg in etas:
+            assert G.graph_equal(local_simplify(eg), eg), name
+
+
 class TestGradientOracle:
     @pytest.mark.parametrize("name", REFERENCE)
     def test_eta_graphs_equal_energy_gradients(self, name):
@@ -775,6 +797,27 @@ class TestCanonicalMemo:
         # the step graph, then each marginal as built, before its form
         assert len(calls) == 3 and calls[0] is g
         assert all(c is not step for c in calls)
+
+    def test_memoized_form_runs_no_simplifier_sweep(self, monkeypatch):
+        fx = fixture("gmm")
+        g = fx.graph()
+        complete_conditional(g, *fx.latents[0])  # memoizes the form
+        sweeps = []
+        canon = importlib.import_module("symconj.canonicalize")
+        real = canon.local_simplify
+
+        def counted(*args, **kwargs):
+            sweeps.append(args[0])
+            return real(*args, **kwargs)
+
+        for mod in (canon, conjugacy, expfam):  # wherever the name is bound
+            if getattr(mod, "local_simplify", None) is real:
+                monkeypatch.setattr(mod, "local_simplify", counted)
+        for argnum, support in fx.latents:
+            complete_conditional(g, argnum, support)
+        multilinear_repr(g, [a for a, _ in fx.latents],
+                         [s for _, s in fx.latents])
+        assert sweeps == []
 
     def test_support_tag_warning_on_every_call(self):
         def model(z, a, b):

@@ -224,12 +224,27 @@ class TestBuilderChecks:
          "formula 'junk' must contain exactly one '->'"),
         ("bogus n1 x", "unknown record 'bogus'"),
         ("input z 3", "bad shape token '3'"),
+        ("input x (3,)", "label 'x' is defined twice"),
+        ("const x () 2.0", "label 'x' is defined twice"),
+        ("prim y log x", "label 'y' is defined twice"),
     ])
     def test_parse_reports_the_op_and_line(self, record, message):
         text = f"input x (3,)\ninput y (3,)\n{record}\noutput n1\n"
         with pytest.raises(GraphError, match=re.escape(
                 f"parse error at line 3: {message}")):
             G.parse(text)
+
+    def test_dump_labels_never_shadow_an_input(self):
+        g = G.build(lambda n2, n2_: G.sum_all(G.log(n2) * n2_),
+                    [("n2", (3,)), ("n2_", (3,))])
+        text = G.dump(g)
+        assert "prim n2__ log n2\n" in text
+        assert G.graph_equal(G.parse(text), g)
+
+    def test_parse_rejects_a_second_output(self):
+        with pytest.raises(GraphError, match=re.escape(
+                "parse error at line 4: a second output record")):
+            G.parse("input x ()\nprim y log x\noutput y\noutput x\n")
 
     def test_lookups_name_what_is_missing(self):
         with pytest.raises(GraphError, match="^parse error: no output record$"):
