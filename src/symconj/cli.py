@@ -46,12 +46,15 @@ def _load_graph(spec_str):
     if spec_str in names:
         return fixture(spec_str).graph()
     try:
-        with open(spec_str) as fh:
+        with open(spec_str, encoding="utf-8") as fh:
             return G.parse(fh.read())
     except OSError as exc:
         raise GraphError(
             f"{spec_str!r} is neither a fixture ({', '.join(names)}) nor a "
             f"readable file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{spec_str!r} is not UTF-8 text: {exc.reason} at "
+                         f"byte {exc.start}") from None
 
 
 def _fixture(name):
@@ -65,11 +68,14 @@ def read_argfile(path):
     """Argument file: blocks of a `name d0 d1 ...` shape header line
     followed by whitespace-separated numbers."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in map(str.strip, fh)
                      if ln and not ln.startswith("#")]
     except OSError as exc:
         raise GraphError(f"argfile {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"argfile {path}: not UTF-8 text: {exc.reason} at "
+                         f"byte {exc.start}") from None
     values, name = {}, None
     for line in lines:
         try:

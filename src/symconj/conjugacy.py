@@ -8,9 +8,9 @@ log(1-z), one_hot(z), ...), and a monomial with two bare ``z`` slots is
 split so the quadratic part becomes its own einsum statistic (elementwise
 square when the two slots share subscripts, an outer product otherwise)
 with the other operands left behind as the coefficient. One copy of the
-canonical graph, keeping its add spine, then puts a fresh input in place
-of each statistic and yields the energy polynomial g over statistic
-values.
+walked monomials, an add chain with a fresh input in place of each
+statistic, is the energy polynomial g over statistic values: all of them
+for the joint repr, else the monomials holding a target (its blanket).
 
 g is multiaffine in a variable's statistics when every monomial holds at
 most one of them, as a direct einsum operand. The natural parameter of a
@@ -21,19 +21,19 @@ an ``outer`` parameter is made symmetric, the only part z z^T sees.
 
 One analysis, :func:`_analyze`, does all of this for one or several
 target arguments at once and returns a :class:`MultilinearRepr`: the
-shared energy plus one :class:`LatentBlock` (family, statistic functions,
-eta graphs) per target. The three user-facing transforms are views of it:
+energy plus one :class:`LatentBlock` (family, statistic functions, eta
+graphs) per target. The three user-facing transforms are views of it:
 
 * :func:`multilinear_repr` returns it, the form block mean-field updates
-  consume;
+  consume, with the whole energy that ``reconstruct`` and ``elbo`` read;
 * :func:`complete_conditional` wraps its one block in a
   :class:`ConditionalFactory` mapping values of the remaining arguments
   to a Distribution for the target variable;
 * :func:`marginalize` rebuilds the log density with the target integrated
-  out, as g0 + A(eta) where g0 sums the energy monomials that hold none
-  of the block's statistics. Each graph object keeps its canonical form,
-  and a marginal is born with it, so transforms compose without
-  canonicalizing one graph twice.
+  out, as g0 + A(eta) where g0 sums the canonical monomials that do not
+  depend on the target, copied off the canonical form. Each graph object
+  keeps its canonical form, and a marginal is born with it, so transforms
+  compose without canonicalizing one graph twice.
 
 Both hand the family one parameter per discovered statistic, as is; the
 family pads and folds them (see :mod:`expfam`). Atoms matching no
@@ -137,27 +137,24 @@ def _classify_atom(g, nid, vid):
     return None
 
 
-def find_sufficient_statistics(g, *names):
-    """Walk the monomials of a canonical graph (or :class:`CanonicalForm`)
-    once, collecting the statistics of each variable in ``names``, then
-    copy the graph once, its add spine kept, with the input
-    ``_stat_{var}_{descriptor}`` in place of each statistic.
-
-    Returns one :class:`StatisticSet` per name, then the energy: the
-    canonical graph over the statistic inputs. Residual atoms are copied.
+def find_sufficient_statistics(form, *names):
+    """Walk the monomial roots a :class:`CanonicalForm` lists once,
+    collecting the statistics of each variable in ``names``, then copy the
+    roots, as a right-leaning add chain in their order (the canonical
+    spine when all are listed), with the input ``_stat_{var}_{descriptor}``
+    in place of each statistic; inputs are declared as the copy reaches
+    them. Returns one :class:`StatisticSet` per name, then the energy: the
+    listed monomials over the statistic inputs. Residual atoms are copied.
     """
-    if isinstance(g, CanonicalForm):
-        g, roots = g.graph, g.monomials
-    else:
-        roots = monomials(g)
-    vids = [g.input_id(var) for var in names]
+    if not isinstance(form, CanonicalForm):
+        raise ConjugacyError(
+            f"find_sufficient_statistics takes a CanonicalForm, got "
+            f"{type(form).__name__}; canonicalize the graph first")
+    g, roots = form.graph, form.monomials
     targets = [(var, vid, g.depends_on([vid]), {}, set())
-               for var, vid in zip(names, vids)]
+               for var, vid in zip(names, map(g.input_id, names))]
     gb = GraphBuilder()
     memo: dict[int, object] = {}
-    for i in g.inputs:
-        if i not in vids:
-            G.rebuild(gb, g, i, memo)
 
     def found(var, stats, desc, stat):
         """The energy input standing for statistic graph ``stat``."""
@@ -212,7 +209,11 @@ def find_sufficient_statistics(g, *names):
                 + [spec.operand_subscripts[pos] for pos in kept])
         memo[root] = gb.prim("einsum", ops,
                              (",".join(subs) + "->" + spec.output,))
-    energy = gb.finish(G.rebuild(gb, g, g.output, memo))
+    *terms, out = ([G.rebuild(gb, g, root, memo) for root in roots]
+                   or [gb.constant(0.0)])
+    for h in reversed(terms):
+        out = gb.prim("add", (h, out))
+    energy = gb.finish(out)
     sets = [StatisticSet(var, {d: stats[d] for d in DESCRIPTORS if d in stats},
                          tuple(G.render(g, a) for a in sorted(residual)))
             for var, _, _, stats, residual in targets]
@@ -262,8 +263,6 @@ def extract_natural_parameters(energy, stats: StatisticSet, others=()):
            for d in stats.graphs}
     dep = energy.depends_on(own)
     s, memo = _Simplifier(_Budget(10000)), {}
-    for i in energy.inputs:
-        G.rebuild(s.gb, energy, i, memo)
     one = s.const(1.0)
     parts = {desc: [] for desc in stats.graphs}
     for root in monomials(energy):
@@ -302,11 +301,11 @@ def _check_support_tag(g, var, support):
             f"was requested; the explicit argument wins", stacklevel=4)
 
 
-def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
+def _analyze(log_joint, argnums, supports, whole=False) -> MultilinearRepr:
     """The one conjugacy analysis behind the three transforms: canonicalize
-    once per graph object, walk its monomials once for all targets to put
-    inputs in place of their statistics, match each target's family, then
-    read each target's natural parameters off the energy's monomials."""
+    once per graph object, walk the monomials holding a target (all of them
+    when ``whole``) once to put inputs in place of the targets' statistics,
+    match each target's family, then read its etas off that energy."""
     names = log_joint.input_names
     if ((np.ndim(argnums), np.ndim(supports)) != (1, 1)
             or len(argnums) != len(supports)):
@@ -327,8 +326,12 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
 
     if log_joint._canonical is None:  # kept for the graph's next transform
         log_joint._canonical = canonicalize(log_joint)
-    *found, energy = find_sufficient_statistics(
-        log_joint._canonical, *[var for var, _ in targets])
+    form, latents = log_joint._canonical, [var for var, _ in targets]
+    if not whole:
+        dep = form.graph.depends_on(map(form.graph.input_id, latents))
+        form = CanonicalForm(form.graph, tuple(
+            r for r in form.monomials if dep[r]))
+    *found, energy = find_sufficient_statistics(form, *latents)
     families = []
     for (var, support), stats in zip(targets, found):
         if stats.residual:
@@ -346,7 +349,6 @@ def _analyze(log_joint, argnums, supports) -> MultilinearRepr:
                 descriptor=d, input_name=_stat_input_name(var, d),
                 shape=sg.shapes[sg.output], stat_graph=sg,
                 eta_graph=etas[d]) for d, sg in stats.graphs.items())))
-    latents = {var for var, _ in targets}
     args = tuple(n for n in names if n not in latents)
     return MultilinearRepr(neg_energy=energy, blocks=tuple(blocks),
                            arg_names=args)
@@ -396,26 +398,24 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
     """Integrate one argument out of a scalar log-joint graph.
 
     Uses the multiaffine split g = g0 + <eta, t(z)>: the result is
-    g0 + A(eta), where g0 sums the energy monomials that hold none of the
-    block's statistics and A is the matched family's log-normalizer graph,
-    canonicalized and carrying its canonical form into the next transform.
+    g0 + A(eta), where g0 sums the monomials of the log joint's canonical
+    form that do not depend on the target, copied off that form, and A is
+    the matched family's log-normalizer graph, canonicalized and carrying
+    its canonical form into the next transform.
     """
     mr = _analyze(log_joint, [argnum], [support])
     (blk,) = mr.blocks
-    g = mr.neg_energy
-
-    gb = GraphBuilder()
-    handles = {name: G.rebuild(gb, log_joint, log_joint.input_id(name), {})
+    g, roots = log_joint._canonical.graph, log_joint._canonical.monomials
+    dep = g.depends_on([g.input_id(blk.name)])
+    gb, memo = GraphBuilder(), {}
+    handles = {name: G.rebuild(gb, g, g.input_id(name), memo)
                for name in mr.arg_names}
-    memo = {g.input_id(name): h for name, h in handles.items()}
-    held = g.depends_on([g.input_id(s.input_name) for s in blk.stats])
-    g0 = [G.rebuild(gb, g, root, memo)
-          for root in monomials(g) if not held[root]]
     eta_handles = {s.descriptor: G.import_graph(gb, s.eta_graph, handles)
                    for s in blk.stats}
     out = blk.family.lognorm_graph(gb, eta_handles)
-    for h in g0:
-        out = gb.prim("add", (h, out))
+    for root in roots:  # g0, off the canonical form
+        if not dep[root]:
+            out = gb.prim("add", (G.rebuild(gb, g, root, memo), out))
     form = canonicalize(gb.finish(out, scalar=True))
     form.graph._canonical = form  # re-canonicalizing gives an equal graph
     return form.graph
@@ -490,4 +490,4 @@ class MultilinearRepr:
 def multilinear_repr(log_joint: TermGraph, argnums, supports
                      ) -> MultilinearRepr:
     """Joint multiaffine decomposition over several arguments at once."""
-    return _analyze(log_joint, argnums, supports)
+    return _analyze(log_joint, argnums, supports, whole=True)

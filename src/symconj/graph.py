@@ -310,13 +310,13 @@ class TermGraph:
 
     def depends_on(self, source_ids):
         """Boolean per-node mask: node value depends on any of the sources."""
-        dep = np.zeros(len(self.nodes), dtype=bool)
-        for s in source_ids:
-            dep[s] = True
+        dep = set(source_ids)
         for i, node in enumerate(self.nodes):
-            if not dep[i] and isinstance(node, PrimNode):
-                dep[i] = any(dep[a] for a in node.args)
-        return dep
+            if isinstance(node, PrimNode) and not dep.isdisjoint(node.args):
+                dep.add(i)
+        mask = np.zeros(len(self.nodes), dtype=bool)
+        mask[list(dep)] = True
+        return mask
 
 
 class ExprHandle:

@@ -95,3 +95,30 @@ def batch_means_se(x, n_batches=50):
     m = len(x) // n_batches
     means = x[:n_batches * m].reshape(n_batches, m).mean(axis=1)
     return means.std(ddof=1) / np.sqrt(n_batches)
+
+
+def gmm_conditionals(v):
+    """Complete conditionals of the diagonal Gaussian mixture fixture
+    (``gmm``), derived by hand, in each family's standard parameters.
+    Given the other arguments: the weights are Dirichlet, with the counts
+    per component added to ``alpha``; each point's label is Categorical,
+    with logits log pi_k + sum_d (0.5 log tau_kd - 0.5 tau_kd (x_nd -
+    mu_kd)^2); each mean mu_kd is Normal, its N(0, sigma0^2) prior
+    times the likelihood of the points in component k; and each precision
+    tau_kd is Gamma, its Gamma(a0, b0) prior times the same likelihood."""
+    pi, mu, tau, x = (np.asarray(v[k], dtype=np.float64)
+                      for k in ("pi", "mu", "tau", "x"))
+    member = np.eye(len(pi))[np.asarray(v["z"]).astype(int)]   # (n, k)
+    counts = member.sum(axis=0)
+    sq = (x[:, None, :] - mu[None, :, :]) ** 2                  # (n, k, d)
+    logits = np.log(pi) + np.sum(0.5 * np.log(tau) - 0.5 * tau * sq, axis=2)
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    prec = 1.0 / v["sigma0"] ** 2 + counts[:, None] * tau
+    return {
+        "pi": {"alpha": np.asarray(v["alpha"]) + counts},
+        "z": {"probs": probs / probs.sum(axis=1, keepdims=True)},
+        "mu": {"mean": tau * (member.T @ x) / prec, "sd": prec ** -0.5},
+        "tau": {"shape": np.broadcast_to(
+                    v["a0"] + 0.5 * counts[:, None], tau.shape),
+                "rate": v["b0"] + 0.5 * np.einsum("nk,nkd->kd", member, sq)},
+    }

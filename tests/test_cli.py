@@ -63,6 +63,14 @@ class TestCanonicalizeCmd:
         assert r.stderr.endswith(") nor a readable file: Is a directory\n")
         assert r.stderr.count("\n") == 1
 
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path):
+        src = tmp_path / "m.txt"
+        src.write_bytes(b"\xff\xfe# symconj-graph v1\n")
+        r = run_cli("canonicalize", str(src))
+        assert r.returncode == 2
+        assert r.stderr == (f"error: {str(src)!r} is not UTF-8 text: "
+                            f"invalid start byte at byte 0\n")
+
     def test_budget_exhaustion_exits_3(self, tmp_path):
         from symconj import graph as G
         g = G.build(lambda u, v: G.sum_all(G.square(u + v)),
@@ -150,6 +158,15 @@ class TestConditionalCmd:
                     "--at", str(argfile))
         assert r.returncode == 2
         assert r.stderr == f"error: argfile {argfile}: n_heads given twice\n"
+
+    def test_non_utf8_argfile_exits_2_naming_it(self, tmp_path):
+        argfile = tmp_path / "args.txt"
+        argfile.write_bytes(b"\xff\xfen_heads\n60\n")
+        r = run_cli("conditional", "beta_bernoulli", "--var", "prob",
+                    "--at", str(argfile))
+        assert r.returncode == 2
+        assert r.stderr == (f"error: argfile {argfile}: not UTF-8 text: "
+                            f"invalid start byte at byte 0\n")
 
 
 class TestInferCmd:

@@ -22,7 +22,9 @@ from symconj.expfam import DESCRIPTORS, SupportType
 from symconj.graph import ConstNode, InputNode
 from symconj.models import fixture
 
-from oracles import central_diff, gauss_hermite_integral, log_quad
+from oracles import (
+    central_diff, gauss_hermite_integral, gmm_conditionals, log_quad,
+)
 
 LOG2PI = np.log(2 * np.pi)
 
@@ -77,6 +79,24 @@ class TestDiscovery:
         cf = canonicalize(g)
         stats, _ = find_sufficient_statistics(cf, "z")
         assert stats.descriptors == {"log1p_neg"}
+
+    def test_raw_graph_is_rejected(self):
+        # a raw graph lists no monomials; read as one, it would give no
+        # statistics and the whole expression as residual
+        g = G.build(lambda a, z: a * z - 0.5 * G.square(z),
+                    [("a", ()), ("z", (), "REAL")])
+        with pytest.raises(ConjugacyError, match=(
+                "takes a CanonicalForm, got TermGraph; canonicalize the "
+                "graph first")):
+            find_sufficient_statistics(g, "z")
+
+    def test_variable_outside_the_density_has_no_statistics(self):
+        # no monomial holds z, so the analysis reads an empty blanket
+        g = G.build(lambda z, c: -0.5 * c * c,
+                    [("z", (), "REAL"), ("c", ())])
+        with pytest.raises(UnknownFamilyError,
+                           match="no sufficient statistics discovered"):
+            complete_conditional(g, 0, SupportType.REAL)
 
     def test_entangled_atom_is_residual(self):
         def model(z1, z2):
@@ -758,6 +778,82 @@ class TestAffineOracle:
                     scale = max(1.0, abs(e), abs(e2))
                     assert abs(e - e2 - pairing) <= 1e-10 * scale, (
                         name, blk.name, seed)
+
+
+class TestHandDerivedOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gmm_conditionals_match_hand_derivation(self, seed):
+        # each extracted conditional against the textbook one, which reads
+        # neither the canonical form nor the energy
+        fx = fixture("gmm")
+        g = fx.graph()
+        args = fx.example_args(seed)
+        want = gmm_conditionals(args)
+        for argnum, support in fx.latents:
+            var = g.input_names[argnum]
+            got = complete_conditional(g, argnum, support).from_env(
+                args).standard()
+            assert sorted(got) == sorted(want[var]), var
+            for k, w in want[var].items():
+                assert np.shape(got[k]) == np.shape(w), (var, k)
+                scale = max(1.0, float(np.abs(w).max()))
+                assert np.abs(got[k] - w).max() <= 1e-10 * scale, (
+                    var, k, seed)
+
+
+def gaussian_chain(T):
+    """An unrolled chain of T scalar REAL latents x_t, each Normal around
+    x_{t-1} (x_0 around 0) with scale q, and T observations y_t, each
+    Normal around x_t with scale r."""
+    def model(*a):
+        xs, ys, q, r = a[:T], a[T:2 * T], a[2 * T], a[2 * T + 1]
+
+        def norm_lp(v, loc, scale):
+            zz = (v - loc) * G.reciprocal(scale)
+            return -0.5 * G.square(zz) - 0.5 * LOG2PI - G.log(scale)
+        lp = norm_lp(xs[0], 0.0, q)
+        for t in range(1, T):
+            lp = lp + norm_lp(xs[t], xs[t - 1], q)
+        for t in range(T):
+            lp = lp + norm_lp(ys[t], xs[t], r)
+        return lp
+    return G.build(model, [(f"x{t}", (), "REAL") for t in range(T)]
+                   + [(f"y{t}", ()) for t in range(T)]
+                   + [("q", ()), ("r", ())])
+
+
+class TestWorkIsLinearInLatents:
+    """Nodes appended through GraphBuilder, not time: a conditional reads
+    only the monomials that hold its target, and an eta declares only the
+    inputs it reaches, so on the Gaussian chain doubling T at most about
+    doubles the work of all T conditionals and of the joint repr."""
+
+    @staticmethod
+    def appended(T, monkeypatch):
+        count = [0]
+        real = G.GraphBuilder._append
+
+        def counted(gb, node, shape):
+            before = len(gb._nodes)
+            h = real(gb, node, shape)
+            count[0] += len(gb._nodes) - before
+            return h
+
+        g = gaussian_chain(T)
+        complete_conditional(g, 0, SupportType.REAL)  # canonicalizes g
+        with monkeypatch.context() as m:
+            m.setattr(G.GraphBuilder, "_append", counted)
+            for t in range(T):
+                complete_conditional(g, t, SupportType.REAL)
+            conditionals, count[0] = count[0], 0
+            multilinear_repr(g, range(T), [SupportType.REAL] * T)
+        return conditionals, count[0]
+
+    def test_doubling_the_chain_at_most_doubles_the_nodes(self, monkeypatch):
+        cc32, mr32 = self.appended(32, monkeypatch)
+        cc64, mr64 = self.appended(64, monkeypatch)
+        assert cc64 <= 2.2 * cc32, (cc32, cc64)
+        assert mr64 <= 2.2 * mr32, (mr32, mr64)
 
 
 class TestCanonicalMemo:
