@@ -445,10 +445,12 @@ class LatentBlock:
         """One plan over all of the block's eta graphs."""
         return G.EvalPlan([s.eta_graph for s in self.stats])
 
-    def distribution(self, env: dict) -> Distribution:
+    def distribution(self, env: dict, plan=None) -> Distribution:
         """The block's validated Distribution, with natural parameters
-        evaluated from its eta graphs in ``env``."""
-        values = dict(zip(self.descriptors, self.eta_plan.run(env)))
+        evaluated from its eta graphs in ``env`` by ``eta_plan``, or by
+        ``plan``, that plan bound to some of the inputs."""
+        plan = self.eta_plan if plan is None else plan
+        values = dict(zip(self.descriptors, plan.run(env)))
         return Distribution(self.family, values)
 
     @property

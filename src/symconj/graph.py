@@ -32,6 +32,7 @@ operations here are pure: they return new graphs and never mutate.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import operator
@@ -574,6 +575,8 @@ class EvalPlan:
     computed once per run. Each run checks every input binding and shape,
     so interior values have the shapes their kernels were built for; the
     kernels check their domains and the finiteness of their results.
+    :meth:`bind` fixes inputs that do not change from run to run, such as
+    a model's data, and runs what depends on them alone just once.
     """
 
     def __init__(self, graphs):
@@ -618,6 +621,34 @@ class EvalPlan:
         for kernel, args, slot in self.steps:
             values[slot] = kernel(*[values[a] for a in args])
         return [values[o] for o in self.outputs]
+
+    def bind(self, env: dict) -> "EvalPlan":
+        """This plan with the inputs named in ``env`` bound for good.
+
+        Copies of their values are checked here, by name and shape, and
+        every step whose operands are all bound or constant runs here,
+        once, with its kernel's checks. The plan returned holds the values
+        it still reads and runs only the other inputs and steps, so later
+        changes to the arrays in ``env`` are not seen.
+        """
+        now, later = copy.copy(self), copy.copy(self)
+        known = [v is not None for v in self.initial]
+        now.inputs, later.inputs = [], []
+        for name, shape, slot in self.inputs:
+            known[slot] = name in env
+            (now if known[slot] else later).inputs.append((name, shape, slot))
+        now.steps, later.steps = [], []
+        for kernel, args, slot in self.steps:
+            known[slot] = all([known[a] for a in args])
+            (now if known[slot] else later).steps.append((kernel, args, slot))
+        now.outputs = range(len(self.initial))
+        values = now.run({name: np.array(env[name], dtype=np.float64)
+                          for name, _, _ in now.inputs})
+        reads = {a for _, args, _ in later.steps for a in args}
+        reads.update(self.outputs)
+        later.initial = [v if s in reads else None
+                         for s, v in enumerate(values)]
+        return later
 
 
 def evaluate(g: TermGraph, env: dict) -> np.ndarray:

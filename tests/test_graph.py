@@ -411,6 +411,47 @@ class TestEvalPlan:
         assert len(plan.inputs) < sum(len(p.inputs) for p in etas)
         assert len(plan.steps) < sum(len(p.steps) for p in etas)
 
+    @pytest.mark.parametrize("fx", fixtures(), ids=lambda fx: fx.name)
+    def test_bound_plan_matches_unbound_bit_for_bit(self, fx):
+        graphs, blocks, env = derived_graphs(fx)
+        g = graphs["log_joint"]
+        latents = {g.input_names[a] for a, _ in fx.latents}
+        data = {k: v for k, v in fx.example_args(0).items()
+                if k not in latents}
+        plans = [b.eta_plan for b in blocks] + [g.plan()]
+        if "neg_energy" in graphs:
+            plans.append(graphs["neg_energy"].plan())
+        for plan in plans:
+            bound = plan.bind(data)
+            assert not {name for name, _, _ in bound.inputs} & data.keys()
+            for got, want in zip(bound.run(env), plan.run(env)):
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
+    def test_bind_runs_what_reads_only_bound_inputs(self):
+        g = G.build(lambda z, a: G.sum_all(z * a + G.exp(G.log(a))),
+                    [("z", ()), ("a", (2,))])
+        plan = g.plan()
+        a = np.array([1.0, 2.0])
+        bound = plan.bind({"a": a, "unused": 0.0})
+        assert [name for name, _, _ in bound.inputs] == ["z"]
+        assert len(bound.steps) == len(plan.steps) - 2  # log(a), exp(.)
+        want = plan.run({"z": 3.0, "a": a})[0]
+        a[:] = 5.0  # the bound plan holds its own copy
+        assert bound.run({"z": 3.0})[0] == want
+        with pytest.raises(GraphError, match="missing binding for input 'z'"):
+            bound.run({"a": a})
+
+    def test_bind_checks_shapes_and_domains_once(self):
+        g = G.build(lambda z, a: G.sum_all(z * G.log(a)),
+                    [("z", ()), ("a", (2,))])
+        with pytest.raises(GraphError,
+                           match=r"input 'a' expects shape \(2,\), got"):
+            g.plan().bind({"a": [1.0]})
+        with pytest.raises(NumericDomainError,
+                           match=r"^log: domain violation at flat index 1"):
+            g.plan().bind({"a": [1.0, -1.0]})
+
     def test_interior_domain_violation_names_flat_index(self):
         g = G.build(lambda x: G.log(x - 2.0), [("x", (2,))], scalar=False)
         assert np.array_equal(G.evaluate(g, {"x": [3.0, 4.0]}),

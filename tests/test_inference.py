@@ -1,15 +1,18 @@
 import io
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from symconj import graph as G
 from symconj.conjugacy import marginalize, multilinear_repr
+from symconj.errors import GraphError, NumericDomainError
 from symconj.expfam import SupportType
 from symconj.inference import (
     cavi_update, elbo, gibbs_sweep, init_meanfield, make_gibbs, run_cavi,
     run_gibbs,
 )
-from symconj.models import fixture
+from symconj.models import fixture, jj_xi_update
 
 from oracles import batch_means_se
 
@@ -220,3 +223,111 @@ class TestCavi:
         quarter = half[len(half) // 2:]
         se = batch_means_se(half, n_batches=20)
         assert abs(half.mean() - quarter.mean()) < 3 * se
+
+
+def split(fx):
+    """A fixture's graph, its data and its latents' example values."""
+    g = fx.graph()
+    values = fx.example_args(0)
+    latents = [g.input_names[a] for a, _ in fx.latents]
+    data = {k: v for k, v in values.items() if k not in latents}
+    return g, data, {k: values[k] for k in latents}
+
+
+class TestBoundData:
+    def test_data_only_steps_run_once_when_the_chain_is_made(
+            self, monkeypatch):
+        steps_run = []
+        run = G.EvalPlan.run
+
+        def counting_run(plan, env):
+            steps_run.append(len(plan.steps))  # one kernel call per step
+            return run(plan, env)
+
+        fx = fixture("logistic_jj")
+        g, data, init = split(fx)
+        monkeypatch.setattr(G.EvalPlan, "run", counting_run)
+        state = make_gibbs(g, fx.latents, init, data)
+        assert len(state.factories["beta"].block.eta_plan.steps) == 17
+        assert state.plans.etas["beta"].steps == []
+        joint_data_only = len(g.plan().steps) - len(state.plans.joint.steps)
+        assert sum(steps_run) == 17 + joint_data_only
+        steps_run.clear()
+        for _ in range(5):
+            state = gibbs_sweep(state)
+        assert steps_run == [0] * 5
+
+    def test_replacing_data_rebinds_the_chain(self):
+        fx = fixture("beta_bernoulli")
+        g = fx.graph()
+        new = dict(BB_DATA, n_heads=20.0)
+
+        def chain(data):
+            return make_gibbs(g, fx.latents, {"prob": 0.5}, data, seed=4)
+
+        replaced, replaced_out = run_gibbs(g, replace(chain(BB_DATA),
+                                                      data=new), 5)
+        fresh, fresh_out = run_gibbs(g, chain(new), 5)
+        stale, _ = run_gibbs(g, chain(BB_DATA), 5)
+        assert replaced == fresh != stale
+        assert np.array_equal(replaced_out.values["prob"],
+                              fresh_out.values["prob"])
+
+    def test_replacing_data_rebinds_the_meanfield_state(self):
+        fx = fixture("logistic_jj")
+        g, data, init = split(fx)
+        mrepr = multilinear_repr(g, argnums=(0,),
+                                 supports=(SupportType.REAL,))
+        state = init_meanfield(mrepr, data, init_values=init)
+        m = state.means["beta"]
+        new = dict(data, xi=jj_xi_update(m["identity"], m["outer"], data["x"]))
+        replaced = replace(state, data=new)
+        fresh = replace(init_meanfield(mrepr, new, init_values=init),
+                        nat=state.nat, means=state.means)
+        assert elbo(replaced) == elbo(fresh) != elbo(state)
+        replaced, fresh = (cavi_update(s, "beta") for s in (replaced, fresh))
+        for d in ("identity", "outer"):
+            assert np.array_equal(replaced.nat["beta"][d],
+                                  fresh.nat["beta"][d])
+            assert np.array_equal(replaced.means["beta"][d],
+                                  fresh.means["beta"][d])
+        assert elbo(replaced) == elbo(fresh)
+
+    def test_wrong_data_shape_raises_when_a_state_is_made(self):
+        fx = fixture("logistic_jj")
+        g, data, init = split(fx)
+        bad = dict(data, x=data["x"][:-1])
+        with pytest.raises(GraphError, match="input 'x' expects shape"):
+            make_gibbs(g, fx.latents, init, bad)
+        mrepr = multilinear_repr(g, argnums=(0,),
+                                 supports=(SupportType.REAL,))
+        with pytest.raises(GraphError, match="input 'x' expects shape"):
+            init_meanfield(mrepr, bad, init_values=init)
+
+    def test_data_outside_a_step_domain_raises_when_a_state_is_made(self):
+        g = G.build(lambda z, a: -0.5 * G.square(z) + G.log(a) * z,
+                    [("z", (), "REAL"), ("a", ())])
+        latents = ((0, SupportType.REAL),)
+        mrepr = multilinear_repr(g, argnums=(0,),
+                                 supports=(SupportType.REAL,))
+        make_gibbs(g, latents, {"z": 0.0}, {"a": 2.0})
+        init_meanfield(mrepr, {"a": 2.0})
+        with pytest.raises(NumericDomainError, match="^log: domain violation"):
+            make_gibbs(g, latents, {"z": 0.0}, {"a": -2.0})
+        with pytest.raises(NumericDomainError, match="^log: domain violation"):
+            init_meanfield(mrepr, {"a": -2.0})
+
+    def test_run_gibbs_values_the_log_joint_it_is_given(self):
+        def model(u, v, x):
+            return -0.5 * G.square(u - x) - 0.5 * G.square(v)
+
+        inputs = [("u", (), "REAL"), ("v", (), "REAL"), ("x", ())]
+        g = G.build(model, inputs)
+        state = make_gibbs(g, ((0, SupportType.REAL), (1, SupportType.REAL)),
+                           {"u": 0.0, "v": 0.0}, {"x": 0.3}, seed=2)
+        # the bound graph, an equal graph object, and another function
+        for other in (g, G.build(model, inputs),
+                      G.build(lambda u, v, x: u * v * x, inputs)):
+            trace, state = run_gibbs(other, state, 1)
+            env = {**state.data, **state.values}
+            assert trace[0][1] == float(G.evaluate(other, env))
