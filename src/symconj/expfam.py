@@ -42,6 +42,7 @@ inverse-CDF for Categorical).
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -52,7 +53,7 @@ from scipy import special as sp
 from . import graph as G
 from .canonicalize import local_simplify, monomials
 from .errors import NaturalDomainError, SupportError, UnknownFamilyError
-from .tensor import INDEX_ALPHABET, one_hot as one_hot_value
+from .tensor import INDEX_ALPHABET, logsumexp, one_hot as one_hot_value
 
 __all__ = [
     "SupportType", "FamilySpec", "Distribution", "register_builtin_families",
@@ -110,7 +111,7 @@ _ARRAY_FNS = SimpleNamespace(
     log=np.log,
     gammaln=sp.gammaln,
     softplus=lambda x: np.logaddexp(0.0, x),
-    logsumexp=lambda x: sp.logsumexp(x, axis=-1),
+    logsumexp=lambda x: logsumexp(x, -1),
     sum=lambda x: np.sum(x, axis=-1),
     diag=lambda v: v[..., None] * np.eye(v.shape[-1]),
     zeros=lambda like, shape: np.zeros(shape),
@@ -139,8 +140,17 @@ def _fns(x):
 
 
 def _std_gamma(rng, shape_param):
-    """Marsaglia-Tsang squeeze sampler for Gamma(shape, 1)."""
+    """Marsaglia-Tsang squeeze sampler for Gamma(shape, 1). A rank-0 shape
+    takes :func:`_std_gamma_scalar`, which gives the same draws."""
     a = np.asarray(shape_param, dtype=np.float64)
+    if a.ndim == 0:
+        return np.asarray(_std_gamma_scalar(rng, float(a)))
+    return _std_gamma_array(rng, a)
+
+
+def _std_gamma_array(rng, a):
+    """:func:`_std_gamma` on a float64 array of shapes, drawing a whole
+    array of normals and uniforms per round."""
     boosted = a < 1.0
     a_eff = np.where(boosted, a + 1.0, a)
     d = a_eff - 1.0 / 3.0
@@ -162,6 +172,22 @@ def _std_gamma(rng, shape_param):
     return out
 
 
+def _std_gamma_scalar(rng, a):
+    """:func:`_std_gamma_array` on one float shape: the same normal and
+    uniform draws, in the same order, and the same arithmetic give the
+    same bits as the array code on a rank-0 array. ``log`` and the power
+    stay numpy's, whose loops round differently from ``math``'s."""
+    d = (a + 1.0 if a < 1.0 else a) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.standard_normal()
+        v = (1.0 + c * x) ** 3
+        u = rng.random()
+        if v > 0 and np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v):
+            break
+    return d * v * np.power(rng.random(), 1.0 / a) if a < 1.0 else d * v
+
+
 def _gamma_sample(rng, shape_param, rate):
     return _std_gamma(rng, shape_param) / np.asarray(rate, dtype=np.float64)
 
@@ -178,11 +204,13 @@ def _dirichlet_sample(rng, alpha):
 
 
 def _categorical_sample(rng, logits):
-    z = logits - sp.logsumexp(logits, axis=-1, keepdims=True)
-    probs = np.exp(z)
+    """Inverse-CDF draw per row. The last class takes every draw past the
+    second-last cumulative probability, so rounding that leaves the total
+    just under 1 cannot give class K."""
+    probs = np.exp(logits - logsumexp(logits, -1)[..., None])
     cdf = np.cumsum(probs, axis=-1)
     u = rng.random(logits.shape[:-1] + (1,))
-    return np.sum(u > cdf, axis=-1).astype(np.float64)
+    return np.sum(u > cdf[..., :-1], axis=-1).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +361,7 @@ class CategoricalFamily(FamilySpec):
     def mean_params(self, nat):
         logits = nat["one_hot"]
         return {"one_hot": np.exp(
-            logits - sp.logsumexp(logits, axis=-1, keepdims=True))}
+            logits - logsumexp(logits, -1)[..., None])}
 
     def sample(self, nat, rng):
         return _categorical_sample(rng, nat["one_hot"])

@@ -585,6 +585,7 @@ class EvalPlan:
         self.inputs = []    # (name, shape, slot)
         self.steps = []     # (kernel, argument slots, slot)
         self.outputs = []   # per graph, the slot of its output
+        self.einsums = {}   # an einsum step's slot: (spec, operand shapes)
         for g in graphs:
             hashes, reach = g.structural_hashes(), g.reachable()
             local: dict[int, int] = {}
@@ -599,8 +600,11 @@ class EvalPlan:
                     if isinstance(node, InputNode):
                         self.inputs.append((node.name, node.shape, slot))
                     elif isinstance(node, PrimNode):
-                        kernel = OPS[node.op].kernel(node.attrs, tuple(
-                            [g.shapes[a] for a in node.args]))
+                        shapes = tuple([g.shapes[a] for a in node.args])
+                        kernel = OPS[node.op].kernel(node.attrs, shapes)
+                        if node.op == "einsum":
+                            self.einsums[slot] = (espec(node.attrs[0]),
+                                                  shapes)
                         self.steps.append(
                             (kernel, tuple(local[a] for a in node.args),
                              slot))
@@ -627,7 +631,11 @@ class EvalPlan:
 
         Copies of their values are checked here, by name and shape, and
         every step whose operands are all bound or constant runs here,
-        once, with its kernel's checks. The plan returned holds the values
+        once, with its kernel's checks. An einsum that reads two or more
+        such operands and a free one is split: the bound operands are
+        contracted here, over every index that neither a free operand nor
+        the output reads, and the plan keeps the contraction of that one
+        factor with the free operands. The plan returned holds the values
         it still reads and runs only the other inputs and steps, so later
         changes to the arrays in ``env`` are not seen.
         """
@@ -637,11 +645,17 @@ class EvalPlan:
         for name, shape, slot in self.inputs:
             known[slot] = name in env
             (now if known[slot] else later).inputs.append((name, shape, slot))
-        now.steps, later.steps = [], []
-        for kernel, args, slot in self.steps:
+        now.steps, later.steps, later.einsums = [], [], dict(self.einsums)
+        for step in self.steps:
+            args, slot = step[1:]
             known[slot] = all([known[a] for a in args])
-            (now if known[slot] else later).steps.append((kernel, args, slot))
-        now.outputs = range(len(self.initial))
+            if not known[slot] and slot in self.einsums \
+                    and sum([known[a] for a in args]) >= 2:
+                first, step = later._split(slot, args, known)
+                now.steps.append(first)
+            (now if known[slot] else later).steps.append(step)
+        now.initial = self.initial + [None] * (len(known) - len(self.initial))
+        now.outputs = range(len(known))
         values = now.run({name: np.array(env[name], dtype=np.float64)
                           for name, _, _ in now.inputs})
         reads = {a for _, args, _ in later.steps for a in args}
@@ -649,6 +663,31 @@ class EvalPlan:
         later.initial = [v if s in reads else None
                          for s, v in enumerate(values)]
         return later
+
+    def _split(self, slot, args, known):
+        """The einsum at ``slot`` as two steps: one that contracts its
+        known operands into a new known slot, keeping the indices that
+        its other operands or output read, and one that contracts that
+        factor with the others in ``slot``."""
+        spec, shapes = self.einsums[slot]
+        ops = list(zip(spec.operand_subscripts, shapes, args))
+        held = [op for op in ops if known[op[2]]]
+        free = [op for op in ops if not known[op[2]]]
+        kept = set(spec.output).union(*[s for s, _, _ in free])
+        sub = "".join(dict.fromkeys(
+            [c for s, _, _ in held for c in s if c in kept]))
+        extent = dict(zip("".join(spec.operand_subscripts), sum(shapes, ())))
+        factor = (sub, tuple([extent[c] for c in sub]), len(known))
+        known.append(True)
+        return (self._einsum(held, sub, factor[2]),
+                self._einsum([factor] + free, spec.output, slot))
+
+    def _einsum(self, operands, out, slot):
+        """An einsum step over ``(subscript, shape, slot)`` operands."""
+        subs, shapes, args = zip(*operands)
+        spec = espec(",".join(subs) + "->" + out)
+        self.einsums[slot] = (spec, shapes)
+        return tensor.einsum_kernel(spec, shapes), args, slot
 
 
 def evaluate(g: TermGraph, env: dict) -> np.ndarray:

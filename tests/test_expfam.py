@@ -3,10 +3,11 @@ import zlib
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from symconj import expfam as E
 from symconj import graph as G
+from symconj import tensor as T
 from symconj.errors import NaturalDomainError, SupportError, UnknownFamilyError
 
 REG = E.register_builtin_families()
@@ -286,6 +287,37 @@ class TestSamplers:
         a = fam.sample(nat, np.random.default_rng(7))
         b = fam.sample(nat, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [0.3, 0.999, 1.0, 2.7, 41.5])
+    def test_scalar_gamma_draws_equal_the_array_code(self, shape):
+        for seed in range(1000):
+            ref, rng = (np.random.default_rng(seed) for _ in range(2))
+            want = E._std_gamma_array(ref, np.asarray(shape))
+            got = E._std_gamma(rng, shape)
+            assert got.shape == () and got.tobytes() == want.tobytes(), seed
+            assert rng.random() == ref.random()  # as many draws were made
+
+    def test_categorical_draw_at_the_top_of_the_unit_interval(self):
+        class TopRng:
+            def random(self, shape):
+                return np.full(shape, 1.0 - 2.0 ** -53)
+
+        logits = np.array([[0.5408455846858077, 0.2146591225063409,
+                            0.3553727090399214], [0.0, 0.0, 0.0]])
+        probs = REG.get("Categorical").mean_params({"one_hot": logits})
+        assert np.cumsum(probs["one_hot"], axis=-1)[0, -1] < 1.0 - 2.0 ** -53
+        draws = E._categorical_sample(TopRng(), logits)
+        assert np.array_equal(draws, [2.0, 2.0])
+
+    def test_logsumexp_is_the_tensor_kernel(self):
+        logits = np.random.default_rng(5).standard_normal((100, 3))
+        want = T.logsumexp(logits, -1)
+        fam = REG.get("Categorical")
+        assert np.array_equal(fam.log_normalizer({"one_hot": logits}), want)
+        assert np.array_equal(fam.mean_params({"one_hot": logits})["one_hot"],
+                              np.exp(logits - want[:, None]))
+        np.testing.assert_allclose(want, logsumexp(logits, axis=-1),
+                                   rtol=1e-15)
 
     def test_samples_lie_in_support(self):
         rng = np.random.default_rng(3)

@@ -234,6 +234,10 @@ def split(fx):
     return g, data, {k: values[k] for k in latents}
 
 
+REFERENCE = ("beta_bernoulli", "normal_gamma", "logistic_jj", "kalman",
+             "factor_analysis", "gmm")
+
+
 class TestBoundData:
     def test_data_only_steps_run_once_when_the_chain_is_made(
             self, monkeypatch):
@@ -251,11 +255,30 @@ class TestBoundData:
         assert len(state.factories["beta"].block.eta_plan.steps) == 17
         assert state.plans.etas["beta"].steps == []
         joint_data_only = len(g.plan().steps) - len(state.plans.joint.steps)
-        assert sum(steps_run) == 17 + joint_data_only
+        # the joint's one einsum over data and beta is split in two: the
+        # contraction of its data operands also runs once, here
+        partials = len(state.plans.joint.initial) - len(g.plan().initial)
+        assert partials == 1
+        assert sum(steps_run) == 17 + joint_data_only + partials
         steps_run.clear()
         for _ in range(5):
             state = gibbs_sweep(state)
         assert steps_run == [0] * 5
+
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_each_einsum_left_reads_at_most_one_known_operand(self, name):
+        fx = fixture(name)
+        g, data, init = split(fx)
+        mrepr = multilinear_repr(g, argnums=[a for a, _ in fx.latents],
+                                 supports=[s for _, s in fx.latents])
+        gibbs = make_gibbs(g, fx.latents, init, data).plans
+        cavi = init_meanfield(mrepr, data, init_values=init).plans
+        for plan in [gibbs.joint, cavi.joint, *gibbs.etas.values(),
+                     *cavi.etas.values()]:
+            for _, args, slot in plan.steps:
+                if slot in plan.einsums:
+                    held = [a for a in args if plan.initial[a] is not None]
+                    assert len(held) <= 1, (name, plan.einsums[slot])
 
     def test_replacing_data_rebinds_the_chain(self):
         fx = fixture("beta_bernoulli")
