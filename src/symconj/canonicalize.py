@@ -234,10 +234,6 @@ class _Simplifier:
         subs, out = self._ew_parts([a.shape for a in args])
         return self.emit_einsum(",".join(subs) + "->" + out, list(args))
 
-    def scale(self, coef, h):
-        """coef * h as an einsum with a scalar constant coefficient."""
-        return self.ew_product([self.const(float(coef)), h])
-
     def broadcast(self, h, target):
         """Broadcast a handle to a target shape via einsum with ones
         factors (the IR has no reshape)."""
@@ -506,7 +502,8 @@ class _Simplifier:
     def realize(self, x):
         if not isinstance(x, _LazySum):
             return x
-        terms = [h if k == 1.0 else self.scale(k, h) for h, k in x.terms()]
+        terms = [h if k == 1.0 else self.ew_product([self.const(float(k)), h])
+                 for h, k in x.terms()]
         if x.const is not None and np.any(x.const):
             terms.append(self.const(x.const))
         if not terms:
@@ -578,10 +575,14 @@ def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
     are charged to ``budget``, the enclosing :func:`normalize_graph` call's
     (a lone sweep gets 10000)."""
     s = _Simplifier(_Budget(10000) if budget is None else budget)
-    memo = {}
-    for i in g.inputs:
-        node = g.nodes[i]
-        memo[i] = s.gb.input(node.name, node.shape, node.support)
+    memo = {i: s.gb.input(g.nodes[i].name, g.shapes[i], g.nodes[i].support)
+            for i in g.inputs}
+    return G.cse(s.gb.finish(_sweep(s, g, memo)))
+
+
+def _sweep(s, g, memo, plus=()):
+    """Emit via ``s`` the nodes of ``g`` its output reaches and ``memo`` (id
+    -> handle) lacks; return the output plus the pairs ``plus``, realized."""
     reach = g.reachable()
     try:
         for i, node in enumerate(g.nodes):
@@ -593,12 +594,12 @@ def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
                 memo[i] = s.emit(node.op, node.attrs,
                                  [memo[a] for a in node.args])
         i = g.output
-        out = s.realize(memo[i])
+        out = memo[i]
+        return s.realize(s.lazy_sum((1.0, out), *plus) if plus else out)
     except _LettersExhausted as exc:
         raise CanonicalizationError(
             f"the einsum form of {G.render(g, i)} needs {exc.args[0]} "
             f"index letters; there are {len(INDEX_ALPHABET)}") from None
-    return G.cse(s.gb.finish(out))
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +743,10 @@ def canonicalize(g: TermGraph, max_rules: int = 10000,
     """
     if g.shapes[g.output] != ():
         raise CanonicalizationError("canonicalize requires a scalar output")
-    g = normalize_graph(g, max_rules=max_rules, firing_log=firing_log)
+    return _form(normalize_graph(g, max_rules, firing_log))
+
+
+def _form(g: TermGraph) -> CanonicalForm:
     if not is_canonical(g):
         raise CanonicalizationError(
             "rewriting reached a fixed point that is not canonical")
@@ -756,7 +760,12 @@ def normalize_graph(g: TermGraph, max_rules: int = 10000,
     ``max_rules`` bounds the rule firings plus expansion steps of all its
     sweeps; ``firing_log`` receives the log-rule firings."""
     budget = _Budget(max_rules)
-    g = local_simplify(g, budget)
+    return _fire_rules(local_simplify(g, budget), budget, firing_log)
+
+
+def _fire_rules(g: TermGraph, budget: _Budget, firing_log=None):
+    """The rule phase on a swept graph: fire the first matching log rule,
+    sweep the whole graph again, repeat until none matches."""
     fired: list[str] = []
     seen_states = {g.structural_hashes()[g.output]}
     misses = {rule.name: set() for rule in REGISTRY}

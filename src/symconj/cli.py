@@ -140,10 +140,7 @@ def cmd_canonicalize(args):
     cf = canonicalize(g, max_rules=args.max_rules, firing_log=firing_log)
     out = sys.stdout if args.output is None else open(args.output, "w")
     try:
-        if args.dot:
-            out.write(G.dump(cf.graph, "dot"))
-        else:
-            out.write(G.dump(cf.graph, "text"))
+        out.write(G.dump(cf.graph, "dot" if args.dot else "text"))
         if args.stats:
             hist = Counter(firing_log)
             out.write(f"# nodes_before={len(g)} nodes_after={len(cf.graph)}\n")

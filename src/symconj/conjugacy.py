@@ -32,8 +32,9 @@ graphs) per target. The three user-facing transforms are views of it:
 * :func:`marginalize` rebuilds the log density with the target integrated
   out, as g0 + A(eta) where g0 sums the canonical monomials that do not
   depend on the target, copied off the canonical form. Each graph object
-  keeps its canonical form, and a marginal is born with it, so transforms
-  compose without canonicalizing one graph twice.
+  keeps its canonical form and its one-target analyses, and a marginal is
+  born with its form, so transforms compose without canonicalizing one
+  graph twice or analyzing one target twice.
 
 Both hand the family one parameter per discovered statistic, as is; the
 family pads and folds them (see :mod:`expfam`). Atoms matching no
@@ -50,7 +51,8 @@ import numpy as np
 
 from . import graph as G
 from .canonicalize import (
-    CanonicalForm, _Budget, _Simplifier, canonicalize, monomials,
+    CanonicalForm, _Budget, _fire_rules, _form, _Simplifier, _sweep,
+    canonicalize, monomials,
 )
 from .errors import ConjugacyError, NonMultiaffineError, UnknownFamilyError
 from .expfam import (
@@ -305,7 +307,8 @@ def _analyze(log_joint, argnums, supports, whole=False) -> MultilinearRepr:
     """The one conjugacy analysis behind the three transforms: canonicalize
     once per graph object, walk the monomials holding a target (all of them
     when ``whole``) once to put inputs in place of the targets' statistics,
-    match each target's family, then read its etas off that energy."""
+    match each target's family, then read its etas off that energy. Each
+    call checks its arguments; a one-target analysis is kept on the graph."""
     names = log_joint.input_names
     if ((np.ndim(argnums), np.ndim(supports)) != (1, 1)
             or len(argnums) != len(supports)):
@@ -323,6 +326,9 @@ def _analyze(log_joint, argnums, supports, whole=False) -> MultilinearRepr:
         support = _as_support(support)
         _check_support_tag(log_joint, names[argnum], support)
         targets.append((names[argnum], support))
+    key = None if whole else (int(argnums[0]), targets[0][1])
+    if key in log_joint._analyses:
+        return log_joint._analyses[key]
 
     if log_joint._canonical is None:  # kept for the graph's next transform
         log_joint._canonical = canonicalize(log_joint)
@@ -349,9 +355,9 @@ def _analyze(log_joint, argnums, supports, whole=False) -> MultilinearRepr:
                 descriptor=d, input_name=_stat_input_name(var, d),
                 shape=sg.shapes[sg.output], stat_graph=sg,
                 eta_graph=etas[d]) for d, sg in stats.graphs.items())))
-    args = tuple(n for n in names if n not in latents)
-    return MultilinearRepr(neg_energy=energy, blocks=tuple(blocks),
-                           arg_names=args)
+    mr = MultilinearRepr(neg_energy=energy, blocks=tuple(blocks), arg_names=(
+        tuple(n for n in names if n not in latents)))
+    return mr if whole else log_joint._analyses.setdefault(key, mr)
 
 
 @dataclass
@@ -399,24 +405,26 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
 
     Uses the multiaffine split g = g0 + <eta, t(z)>: the result is
     g0 + A(eta), where g0 sums the monomials of the log joint's canonical
-    form that do not depend on the target, copied off that form, and A is
-    the matched family's log-normalizer graph, canonicalized and carrying
-    its canonical form into the next transform.
-    """
+    form that do not depend on the target, and A is the matched family's
+    log-normalizer graph: g0 and the etas, fixed points of the sweep, are
+    copied into one simplifier, which emits only A's ops. The result
+    carries its canonical form into the next transform."""
     mr = _analyze(log_joint, [argnum], [support])
     (blk,) = mr.blocks
     g, roots = log_joint._canonical.graph, log_joint._canonical.monomials
     dep = g.depends_on([g.input_id(blk.name)])
-    gb, memo = GraphBuilder(), {}
-    handles = {name: G.rebuild(gb, g, g.input_id(name), memo)
-               for name in mr.arg_names}
-    eta_handles = {s.descriptor: G.import_graph(gb, s.eta_graph, handles)
-                   for s in blk.stats}
-    out = blk.family.lognorm_graph(gb, eta_handles)
-    for root in roots:  # g0, off the canonical form
-        if not dep[root]:
-            out = gb.prim("add", (G.rebuild(gb, g, root, memo), out))
-    form = canonicalize(gb.finish(out, scalar=True))
+    s, memo = _Simplifier(_Budget(10000)), {}
+    data = {name: G.rebuild(s.gb, g, g.input_id(name), memo)
+            for name in mr.arg_names}
+    g0 = [(1.0, G.rebuild(s.gb, g, root, memo))
+          for root in roots if not dep[root]]
+    etas = {st.descriptor: G.import_graph(s.gb, st.eta_graph, data)
+            for st in blk.stats}
+    copied = len(s.gb._nodes)  # A's raw ops follow, then go through emit
+    a = s.gb.finish(blk.family.lognorm_graph(s.gb, etas))
+    out = _sweep(s, a, {i: G.ExprHandle(s.gb, i) for i in range(copied)},
+                 plus=g0)
+    form = _form(_fire_rules(G.cse(s.gb.finish(out, scalar=True)), s.budget))
     form.graph._canonical = form  # re-canonicalizing gives an equal graph
     return form.graph
 

@@ -219,8 +219,10 @@ def _categorical_sample(rng, logits):
 
 class FamilySpec:
     """One tractable exponential family; subclasses fill in the closed
-    forms. ``nat`` everywhere is a dict descriptor -> ndarray; ``pad_nat``
-    and ``log_normalizer`` also take graph handles in its place."""
+    forms ``check_domain``, ``log_normalizer``, ``mean_params``, ``sample``,
+    ``to_standard`` and ``from_standard``. ``nat`` everywhere is a dict
+    descriptor -> ndarray; ``pad_nat`` and ``log_normalizer`` also take
+    graph handles in its place."""
 
     name: str = ""
     support: SupportType
@@ -244,22 +246,10 @@ class FamilySpec:
                 nat[d] = _fns(like).zeros(like, shape)
         return nat
 
-    def check_domain(self, nat: dict) -> None:
-        raise NotImplementedError
-
     def batch_shape(self, nat: dict):
         return np.shape(next(iter(nat.values())))
 
-    # -- closed forms -------------------------------------------------------
-
-    def log_normalizer(self, nat: dict) -> np.ndarray:
-        raise NotImplementedError
-
-    def mean_params(self, nat: dict) -> dict:
-        raise NotImplementedError
-
-    def sample(self, nat: dict, rng) -> np.ndarray:
-        raise NotImplementedError
+    # -- statistics and densities -------------------------------------------
 
     def statistic_values(self, value) -> dict:
         v = np.asarray(value, dtype=np.float64)
@@ -286,12 +276,6 @@ class FamilySpec:
         test, must = _SUPPORT_CHECKS[self.support]
         if not test(np.asarray(value)):
             raise SupportError(f"{self.name} values must {must}")
-
-    def to_standard(self, nat: dict) -> dict:
-        raise NotImplementedError
-
-    def from_standard(self, **standard) -> dict:
-        raise NotImplementedError
 
     def lognorm_graph(self, gb, etas: dict) -> "G.ExprHandle":
         """Graph of the total A (summed over the batch) at handles of the

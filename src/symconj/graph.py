@@ -264,6 +264,7 @@ class TermGraph:
         self._hashes = None
         self._plan = None
         self._canonical = None  # its CanonicalForm, kept by conjugacy
+        self._analyses = {}  # one-target analyses, kept by conjugacy
 
     def __len__(self):
         return len(self.nodes)

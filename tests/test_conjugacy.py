@@ -881,18 +881,16 @@ class TestCanonicalMemo:
             marginalize(g, argnum, support)
         multilinear_repr(g, [a for a, _ in fx.latents],
                          [s for _, s in fx.latents])
-        # the log joint once, then each marginal's own canonical form
-        assert len(calls) == 1 + 4
-        assert calls[0] is g and all(c is not g for c in calls[1:])
+        # the log joint once; each marginal is born canonical
+        assert calls == [g]
 
     def test_marginal_carries_its_canonical_form(self, calls):
         g = models._kalman_step_graph()
         step = marginalize(g, 0, SupportType.REAL)
         marginalize(step, 0, SupportType.REAL)
         complete_conditional(step, 0, SupportType.REAL)
-        # the step graph, then each marginal as built, before its form
-        assert len(calls) == 3 and calls[0] is g
-        assert all(c is not step for c in calls)
+        # the step graph only: no marginal is canonicalized as a whole
+        assert calls == [g]
 
     def test_memoized_form_runs_no_simplifier_sweep(self, monkeypatch):
         fx = fixture("gmm")
@@ -968,3 +966,130 @@ class TestMarginalIsCanonicalFixedPoint:
         evidence = marginalize(step, 0, SupportType.REAL)
         for m in (step, evidence):
             assert G.graph_equal(canonicalize(m).graph, m)
+
+
+class TestAnalysisMemo:
+    """Work counts, not time: each graph keeps its successful one-target
+    analyses by (argnum, support), so the two one-target transforms share
+    one in either order; the joint repr is analyzed on every call."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        seen = []
+        real = conjugacy.find_sufficient_statistics
+
+        def counted(form, *names):
+            seen.append(names)
+            return real(form, *names)
+
+        monkeypatch.setattr(conjugacy, "find_sufficient_statistics", counted)
+        return seen
+
+    @pytest.mark.parametrize("conditional_first", [True, False])
+    def test_one_analysis_per_target_in_either_order(self, analyses,
+                                                     conditional_first):
+        fx = fixture("gmm")
+        g = fx.graph()
+        order = [complete_conditional, marginalize]
+        if not conditional_first:
+            order.reverse()
+        for argnum, support in fx.latents:
+            for transform in order * 2:
+                transform(g, argnum, support)
+        assert analyses == [(g.input_names[a],) for a, _ in fx.latents]
+
+    def test_argnum_and_support_spellings_share_the_analysis(self, analyses):
+        g = fixture("normal_gamma").graph()
+        complete_conditional(g, 0, "NONNEGATIVE")
+        marginalize(g, np.int64(0), SupportType.NONNEGATIVE)
+        assert analyses == [("tau",)]
+
+    def test_a_different_support_runs_its_own_analysis(self, analyses):
+        g = G.build(lambda z, c: c * z, [("z", ()), ("c", ())])
+        families = [complete_conditional(g, 0, support).family.name
+                    for support in (SupportType.BINARY,
+                                    SupportType.NONNEGATIVE) * 2]
+        assert families == ["Bernoulli", "Gamma"] * 2
+        assert analyses == [("z",), ("z",)]
+
+    def test_the_joint_repr_is_analyzed_on_every_call(self, analyses):
+        fx = fixture("normal_gamma")
+        g = fx.graph()
+        argnums, supports = zip(*fx.latents)
+        complete_conditional(g, argnums[0], supports[0])
+        for _ in range(2):
+            multilinear_repr(g, argnums, supports)
+        multilinear_repr(g, argnums[:1], supports[:1])
+        assert analyses == [("tau",), ("tau", "beta"), ("tau", "beta"),
+                            ("tau",)]
+
+    def test_a_failed_analysis_runs_again(self, analyses):
+        g = G.build(lambda z, c: c * z * G.log(z),
+                    [("z", (), "NONNEGATIVE"), ("c", ())])
+        for _ in range(2):
+            with pytest.raises(NonMultiaffineError):
+                marginalize(g, 0, SupportType.NONNEGATIVE)
+        assert analyses == [("z",), ("z",)]
+
+
+def whole_marginal(g, argnum, support):
+    """The marginal as g0 + A(eta) built raw and canonicalized as a whole,
+    from the public pieces: the conditional's family and eta graphs, and
+    the monomials of g's canonical form that do not hold the target."""
+    fac = complete_conditional(g, argnum, support)
+    form = canonicalize(g)
+    cg = form.graph
+    dep = cg.depends_on([cg.input_id(fac.var)])
+    gb, memo = G.GraphBuilder(), {}
+    data = {n: G.rebuild(gb, cg, cg.input_id(n), memo) for n in fac.arg_names}
+    out = fac.family.lognorm_graph(gb, {
+        d: G.import_graph(gb, eg, data) for d, eg in fac.eta_graphs.items()})
+    for root in form.monomials:
+        if not dep[root]:
+            out = gb.prim("add", (G.rebuild(gb, cg, root, memo), out))
+    return canonicalize(gb.finish(out, scalar=True)).graph
+
+
+def chain_evidence(ys, q, r):
+    """log p(y) of :func:`gaussian_chain` from its joint covariance."""
+    t = np.arange(len(ys))
+    cov = q * q * (np.minimum.outer(t, t) + 1.0) + r * r * np.eye(len(ys))
+    _, logdet = np.linalg.slogdet(cov)
+    return float(-0.5 * ys @ np.linalg.solve(cov, ys) - 0.5 * logdet
+                 - 0.5 * len(ys) * LOG2PI)
+
+
+class TestMarginalEqualsWholeCanonicalization:
+    """Merging g0 with A(eta) in one simplifier gives the graph that
+    canonicalizing the whole sum gives."""
+
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_reference_marginals(self, name):
+        fx = fixture(name)
+        g = fx.graph()
+        for argnum, support in fx.latents:
+            assert G.graph_equal(marginalize(g, argnum, support),
+                                 whole_marginal(g, argnum, support)), (
+                name, argnum)
+
+    def test_every_step_of_the_gaussian_chain(self):
+        m = gaussian_chain(6)
+        for t in range(6):
+            want = whole_marginal(m, 0, SupportType.REAL)
+            m = marginalize(m, 0, SupportType.REAL)
+            assert G.graph_equal(m, want), t
+        assert m.input_names == tuple(f"y{t}" for t in range(6)) + ("q", "r")
+
+    def test_chain_evidence_matches_joint_covariance(self):
+        T = 8
+        m = gaussian_chain(T)
+        for _ in range(T):
+            m = marginalize(m, 0, SupportType.REAL)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            ys = rng.standard_normal(T)
+            q, r = rng.uniform(0.5, 2.0, size=2)
+            got = float(G.evaluate(m, dict(
+                {f"y{t}": ys[t] for t in range(T)}, q=q, r=r)))
+            want = chain_evidence(ys, q, r)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
