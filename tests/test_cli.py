@@ -1,11 +1,16 @@
 import os
+import shlex
 import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from symconj import cli
 
 HERE = os.path.dirname(__file__)
 CORRUPT = os.path.join(HERE, "data", "corrupt_model.txt")
+README = os.path.join(os.path.dirname(HERE), "README.md")
 UNKNOWN_TAG_MODEL = ("# symconj-graph v1\ninput x (3) FOO\ninput c (3)\n"
                      "prim n2 einsum [i,i->] x c\noutput n2\n")
 
@@ -216,26 +221,42 @@ class TestInferCmd:
         assert r.stderr.startswith("error: no fixture named 'nosuch'")
 
 class TestCheckCmd:
-    def test_rewrite_suite_passes(self):
-        r = run_cli("check", "--suite", "rewrite")
+    def test_conjugate_model_passes(self, tmp_path):
+        from symconj import graph as G
+        from symconj.models import fixture
+        model = tmp_path / "bb.txt"
+        model.write_text(G.dump(fixture("beta_bernoulli").graph(), "text"))
+        r = run_cli("check", "--model", str(model))
         assert r.returncode == 0
-        assert "FAIL" not in r.stdout
-
-    def test_conjugacy_suite_passes(self):
-        r = run_cli("check", "--suite", "conjugacy")
-        assert r.returncode == 0
+        assert r.stdout == (f"PASS {model}: prob has a Beta complete "
+                            f"conditional\n")
 
     def test_corrupted_fixture_fails_conjugacy_suite(self):
-        r = run_cli("check", "--suite", "conjugacy", "--model", CORRUPT)
+        r = run_cli("check", "--model", CORRUPT)
         assert r.returncode == 1
         assert "FAIL" in r.stdout
 
     def test_unknown_support_tag_in_model_exits_2(self, tmp_path):
         model = tmp_path / "f.txt"
         model.write_text(UNKNOWN_TAG_MODEL)
-        r = run_cli("check", "--suite", "conjugacy", "--model", str(model))
+        r = run_cli("check", "--model", str(model))
         assert r.returncode == 2
         assert r.stderr.startswith("error: unknown support 'FOO'")
+
+    def test_graph_without_inputs_exits_2_naming_it(self, tmp_path):
+        model = tmp_path / "const.txt"
+        model.write_text("# symconj-graph v1\nconst n0 () 1.0\noutput n0\n")
+        r = run_cli("check", "--model", str(model))
+        assert r.returncode == 2
+        assert r.stderr == (f"error: {str(model)!r} has no input to "
+                            f"condition on\n")
+
+    def test_unreadable_model_exits_2_naming_it(self, tmp_path):
+        model = tmp_path / "missing.txt"
+        r = run_cli("check", "--model", str(model))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: {str(model)!r} is neither a "
+                                   f"fixture (")
 
     def test_bad_suite_usage_error(self):
         r = run_cli("check", "--suite", "bogus")
@@ -244,3 +265,50 @@ class TestCheckCmd:
     def test_missing_suite_usage_error(self):
         r = run_cli("check")
         assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("infer", "beta_bernoulli", "--algo", "gibbs", "--seed", "-3"),
+    ("infer", "beta_bernoulli", "--algo", "gibbs", "--iters", "-1"),
+    ("canonicalize", "beta_bernoulli", "--max-rules", "-5"),
+])
+def test_negative_count_exits_2(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stderr.rstrip().endswith(f"argument {argv[-2]}: "
+                                      f"{argv[-1]!r} is not an integer >= 0")
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("canonicalize", "beta_bernoulli", "-o"),
+    ("infer", "beta_bernoulli", "--algo", "gibbs", "--iters", "2", "--trace"),
+    ("infer", "beta_bernoulli", "--algo", "gibbs", "--iters", "2", "--plot"),
+])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, argv):
+    path = str(tmp_path / "no_such_dir" / "out")
+    r = run_cli(*argv, path)
+    assert r.returncode == 2
+    assert r.stderr == (f"error: cannot write {path!r}: "
+                        f"No such file or directory\n")
+
+
+def readme_commands():
+    """The ``symconj ...`` lines of the README "Command line" block, with
+    continuation lines joined and comments dropped."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)
+            for line in block.splitlines() if line.startswith("symconj ")]
+
+
+def test_readme_command_lines_parse():
+    commands = readme_commands()
+    assert {argv[1] for argv in commands} == {
+        "canonicalize", "conditional", "infer", "check"}
+    parser = cli.build_parser()
+    for argv in commands:
+        assert argv[0] == "symconj"
+        parser.parse_args(argv[1:])
