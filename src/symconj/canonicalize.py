@@ -11,7 +11,10 @@ The driver alternates two phases until a fixed point:
    einsums multiply out their sum operands into sums of einsums, sums
    collect like monomials (a scalar coefficient is set apart, so x - x
    cancels), add-trees flatten into right-leaning chains ordered by
-   structural hash, and einsum index names are canonically renamed;
+   structural hash, and einsum index names are canonically renamed. A
+   product stays a factor list (:class:`_Mono`) until a non-einsum op
+   needs its node, so partial products are merged as lists and each
+   monomial is built once;
 2. a rule phase that fires the first matching log rule from an ordered
    registry anywhere in the graph, searching from the output, after which
    the sweep runs again. Each rule is a direct matcher of one log redex
@@ -36,7 +39,8 @@ quantities log densities are built from.
 
 from __future__ import annotations
 
-from collections import deque
+import functools
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +85,35 @@ def _letters(n):
     return INDEX_ALPHABET[:n]
 
 
+@functools.lru_cache(maxsize=None)
+def _summed(formula):
+    """How many distinct letters an einsum formula sums out."""
+    spec = espec(formula)
+    return len(set("".join(spec.operand_subscripts)) - set(spec.output))
+
+
+@functools.lru_cache(maxsize=None)
+def _ew_parts(*shapes):
+    """Trailing-broadcast subscripts for elementwise products. Size-1
+    axes of an operand get private letters (summed over harmlessly)."""
+    out_shape = tuple(np.broadcast_shapes(*shapes))
+    rank = len(out_shape)
+    letters = _letters(rank + sum(d != out_shape[rank - len(s) + i]
+                                  for s in shapes for i, d in enumerate(s)))
+    out_letters, pool = letters[:rank], iter(letters[rank:])
+    subs = []
+    for s in shapes:
+        off = rank - len(s)
+        chars = []
+        for i, d in enumerate(s):
+            if d == out_shape[off + i]:
+                chars.append(out_letters[off + i])
+            else:  # d == 1 broadcast against a larger extent
+                chars.append(next(pool))
+        subs.append("".join(chars))
+    return tuple(subs), out_letters
+
+
 # op -> the op it undoes: 1/(1/x), log(exp x) and exp(log x) unwrap
 _INVERSE = {"reciprocal": "reciprocal", "log": "exp", "exp": "log"}
 
@@ -109,14 +142,24 @@ class _Budget:
                 recent_rules=self.recent)
 
 
+class _Mono:
+    """An einsum product not yet built: the formula and operand handles of
+    the node it would be, operands in the node's order."""
+
+    __slots__ = ("formula", "args", "shape")
+
+    def __init__(self, formula, args, shape):
+        self.formula, self.args, self.shape = formula, args, shape
+
+
 class _LazySum:
     """Deferred sum of leaves: non-constant monomials with real
     multiplicities plus a folded constant, materialized on demand. A leaf
     is keyed by its monomial without the scalar coefficient, which joins
-    the multiplicity, so ``x`` and ``-1 * x`` cancel. ``counts`` maps node
-    id to ``(monomial, multiplicity, whole)`` in first-insertion order,
-    where ``whole`` is a known handle of the product or None; a leaf whose
-    multiplicity reaches zero leaves it."""
+    the multiplicity, so ``x`` and ``-1 * x`` cancel: by the hash-cons key
+    of that monomial's node, or the node id of a lone factor. ``counts``
+    maps the key to ``(monomial, multiplicity, whole)`` in insertion
+    order, ``whole`` the known product with its coefficient or None."""
 
     __slots__ = ("counts", "const", "shape")
 
@@ -125,17 +168,17 @@ class _LazySum:
         self.const = None
         self.shape = tuple(shape)
 
-    def add_leaf(self, h, k, whole=None):
-        old = self.counts.get(h.nid)
+    def add_leaf(self, key, h, k, whole=None):
+        old = self.counts.get(key)
         if old is not None:
             h, k, whole = old[0], old[1] + k, None
         if k == 0:
-            self.counts.pop(h.nid, None)
+            self.counts.pop(key, None)
         else:
-            self.counts[h.nid] = (h, k, whole)
+            self.counts[key] = (h, k, whole)
 
     def terms(self):
-        """(handle, multiplicity) per leaf, the whole product if known."""
+        """(monomial, multiplicity) per leaf, the whole product if known."""
         return [(h, k) if whole is None else (whole, 1.0)
                 for h, k, whole in self.counts.values()]
 
@@ -145,6 +188,7 @@ class _Simplifier:
         self.gb = GraphBuilder()
         self.budget = budget
         self._const_kind = {}  # nid -> (is_all_ones, is_any_zero_annihilator)
+        self._rank = {}  # nid -> _order's key less the subscripts
 
     # -- small helpers ----------------------------------------------------
 
@@ -152,11 +196,11 @@ class _Simplifier:
         return self.gb.node(h)
 
     def is_const(self, h):
-        return (not isinstance(h, _LazySum)
-                and isinstance(self.node(h), ConstNode))
+        return (isinstance(h, G.ExprHandle)
+                and isinstance(self.gb._nodes[h.nid], ConstNode))
 
     def op_of(self, x):
-        node = None if isinstance(x, _LazySum) else self.node(x)
+        node = None if isinstance(x, _LazySum) else self.gb._nodes[x.nid]
         return node.op if isinstance(node, PrimNode) else None
 
     def is_sum(self, x):
@@ -177,6 +221,25 @@ class _Simplifier:
             self._const_kind[h.nid] = kind
         return kind
 
+    def einsum_parts(self, x):
+        """(EinsumSpec, operand handles) of a product or einsum node."""
+        if isinstance(x, _Mono):
+            return espec(x.formula), x.args
+        node = None if isinstance(x, _LazySum) else self.gb._nodes[x.nid]
+        if isinstance(node, PrimNode) and node.op == "einsum":
+            return espec(node.attrs[0]), [
+                G.ExprHandle(self.gb, a) for a in node.args]
+        return None
+
+    def _order(self, item):
+        """Operand sort key: constants, inputs by name, digest, subscripts."""
+        if item[1].nid not in self._rank:
+            node = self.gb._nodes[item[1].nid]
+            self._rank[item[1].nid] = (
+                not isinstance(node, ConstNode), getattr(node, "name", ""),
+                self.gb.digest(item[1]))
+        return self._rank[item[1].nid], item[0]
+
     def _try_fold(self, op, attrs, args):
         if all(self.is_const(a) for a in args):
             try:
@@ -186,52 +249,34 @@ class _Simplifier:
                 return None
         return None
 
-    def add_leaf(self, lazy, h, k):
-        """lazy += k * h, with h's scalar coefficient moved into k."""
-        whole, c = h if k == 1 else None, 1.0
-        node = self.node(h)
-        if isinstance(node, PrimNode) and node.op == "einsum":
-            spec = espec(node.attrs[0])
-            rest = []
-            for subs, a in zip(spec.operand_subscripts, node.args):
-                ah = G.ExprHandle(self.gb, a)
-                if subs == "" and self.is_const(ah):
-                    c *= float(self.cval(ah))
-                else:
-                    rest.append((subs, ah))
-            if len(rest) == 1 and rest[0][0] == spec.output:
-                h = rest[0][1]
-            elif len(rest) < len(node.args):
-                # constants sort first and the coefficient has no letters,
-                # so the rest keeps emit_einsum's order and naming
-                h = self.gb.prim("einsum", [a for _, a in rest], (
-                    ",".join(subs for subs, _ in rest) + "->" + spec.output,))
-        lazy.add_leaf(h, k * c, whole)
+    def add_leaf(self, lazy, x, k):
+        """lazy += k * x, for a handle or product x, with x's scalar
+        coefficient moved into k."""
+        whole, parts, c = x if k == 1 else None, self.einsum_parts(x), 1.0
+        if parts is None:
+            return lazy.add_leaf(x.nid, x, k, whole)
+        spec, args = parts
+        rest = []
+        for subs, a in zip(spec.operand_subscripts, args):
+            if subs == "" and self.is_const(a):
+                c *= float(self.cval(a))
+            else:
+                rest.append((subs, a))
+        if len(rest) == 1 and rest[0][0] == spec.output:
+            return lazy.add_leaf(rest[0][1].nid, rest[0][1], k * c, whole)
+        # constants sort first and the coefficient has no letters, so the
+        # rest keeps the product's order and canonical naming
+        formula = ",".join([s for s, _ in rest]) + "->" + spec.output
+        if not isinstance(x, _Mono):  # a node's may be spelled otherwise
+            formula = G.rename_formula(formula)
+        args = tuple([a for _, a in rest])
+        lazy.add_leaf(("einsum", (formula,), tuple([a.nid for a in args])),
+                      _Mono(formula, args, x.shape), k * c, whole)
 
     # -- elementwise/broadcast formula construction -----------------------
 
-    def _ew_parts(self, shapes):
-        """Trailing-broadcast subscripts for elementwise products. Size-1
-        axes of an operand get private letters (summed over harmlessly)."""
-        out_shape = tuple(np.broadcast_shapes(*[tuple(s) for s in shapes]))
-        rank = len(out_shape)
-        letters = _letters(rank + sum(d != out_shape[rank - len(s) + i]
-                                      for s in shapes for i, d in enumerate(s)))
-        out_letters, pool = letters[:rank], iter(letters[rank:])
-        subs = []
-        for s in shapes:
-            off = rank - len(s)
-            chars = []
-            for i, d in enumerate(s):
-                if d == out_shape[off + i]:
-                    chars.append(out_letters[off + i])
-                else:  # d == 1 broadcast against a larger extent
-                    chars.append(next(pool))
-            subs.append("".join(chars))
-        return subs, out_letters
-
     def ew_product(self, args):
-        subs, out = self._ew_parts([a.shape for a in args])
+        subs, out = _ew_parts(*[tuple(a.shape) for a in args])
         return self.emit_einsum(",".join(subs) + "->" + out, list(args))
 
     def broadcast(self, h, target):
@@ -240,156 +285,159 @@ class _Simplifier:
         target = tuple(target)
         if tuple(h.shape) == target:
             return h
-        (sub, _), out = self._ew_parts([h.shape, target])
+        (sub, _), out = _ew_parts(tuple(h.shape), target)
         missing = [c for c in out if c not in sub]
         ones = [self.const(np.ones(target[out.index(c)])) for c in missing]
         return self.emit_einsum(",".join([sub] + missing) + "->" + out,
                                 [h] + ones)
 
-    # -- einsum emission with merging/collection/renaming -----------------
+    # -- einsum products: merging, folding, collection, renaming ----------
 
     def emit_einsum(self, formula, args):
-        """Einsum of handles and sums. When an operand is a sum the einsum
-        is multiplied out and the result is a _LazySum of monomials."""
+        """Einsum of handles, products and sums, nested einsums and
+        products inlined: a handle, a product left unbuilt
+        (:class:`_Mono`), or the _LazySum a sum operand multiplies out to."""
         spec = espec(formula)
-        out = spec.output
-        operands = list(zip(spec.operand_subscripts, args))
+        nested, fresh = [self.einsum_parts(h) for h in args], None
+        if any(nested):
+            used = set(formula) - set(",->")
+            _letters(len(used) + sum(_summed(p[0].formula)
+                                     for p in nested if p))
+            fresh = iter([c for c in INDEX_ALPHABET if c not in used])
+        return self._product([f for subs, h, parts in zip(
+            spec.operand_subscripts, args, nested)
+            for f in self._relabel(subs, h, parts, fresh)], spec.output)
 
-        # inline nested einsums (arguments are already simplified), once
-        # the alphabet is known to hold every letter the merge draws
-        nested = [espec(self.node(h).attrs[0]) if self.op_of(h) == "einsum"
-                  else None for h in args]
-        used = set("".join(spec.operand_subscripts) + out)
-        _letters(len(used) + sum(
-            len(set("".join(inner.operand_subscripts)) - set(inner.output))
-            for inner in nested if inner is not None))
-        merged = []
-        for (subs, h), inner in zip(operands, nested):
-            if inner is None:
-                merged.append((subs, h))
-                continue
-            mapping = dict(zip(inner.output, subs))
-            fresh = (c for c in INDEX_ALPHABET if c not in used)
-            for ch in "".join(inner.operand_subscripts):
-                if ch not in mapping:
-                    mapping[ch] = next(fresh)
-                    used.add(mapping[ch])
-            for isubs, anid in zip(inner.operand_subscripts,
-                                   self.node(h).args):
-                ah = G.ExprHandle(self.gb, anid)
-                merged.append(("".join(mapping[c] for c in isubs), ah))
-        operands = merged
-        if any(self.is_sum(h) for _, h in operands):
-            return self._multiply_out(operands, out)
+    @staticmethod
+    def _relabel(subs, h, parts, fresh):
+        """Operand ``h`` at ``subs`` as factors: h itself, or the operands
+        of a product or einsum node (``parts``) with its output letters
+        renamed to ``subs`` and its summed letters drawn from ``fresh`` in
+        order of first appearance."""
+        if parts is None:
+            return [(subs, h)]
+        spec, args = parts
+        names = dict(zip(spec.output, subs))
+        for ch in "".join(spec.operand_subscripts):
+            if ch not in names:
+                names[ch] = next(fresh)
+        return [("".join([names[c] for c in s]), a)
+                for s, a in zip(spec.operand_subscripts, args)]
 
-        # constant folding: zeros annihilate, scalars multiply into a
-        # single coefficient, all-ones factors fold or slim down
-        extents = {}
-        for subs, h in operands:
-            for ch, d in zip(subs, h.shape):
-                extents[ch] = d
-        out_shape = tuple(extents[c] for c in out)
-        coef = 1.0
+    def _product(self, operands, out):
+        """The einsum of (subscripts, factor) operands, none a product or
+        an einsum node, as emit_einsum returns it. Scalar constants fold
+        left to right; a zero, or an all-ones factor that :meth:`_fold`
+        would drop or slim, goes through it."""
+        nodes = self.gb._nodes
+        extents, kept, coef, slow, ones = {}, [], 1.0, False, []
+        for item in operands:
+            subs, h = item
+            node = None if type(h) is _LazySum else nodes[h.nid]
+            if node is None or type(node) is PrimNode and node.op == "add":
+                return self._multiply_out(operands, out)
+            if type(node) is ConstNode:
+                is_ones, zero = self.const_kind(h)
+                if not (is_ones or zero or subs):
+                    coef *= float(node.value)
+                    continue
+                slow = slow or zero
+                ones += [item] * is_ones
+            extents.update(zip(subs, h.shape))
+            kept.append(item)
+        if ones and not slow:  # a repeated factor, or a letter held alone
+            held = Counter(c for s, _ in kept for c in set(s))
+            slow = len({(s, h.nid) for s, h in ones}) < len(ones) or any(
+                c not in out and held[c] < 2 for s, _ in ones for c in s)
+        if slow:
+            kept = self._fold(operands, out, extents)
+            if not isinstance(kept, list):
+                return kept
+            coef, kept = kept[0], kept[1:]
+        out_shape = tuple([extents[c] for c in out])
 
-        # (is_all_ones, is_annihilator) of constant operands, else None
+        # collect exponents of scalar factors sharing a base node; lone
+        # atoms collect to themselves, so only roots, reciprocals and powers
+        # set it going
+        scalars = [h for s, h in kept if s == ""]
+        if len(scalars) > 1 and any(
+                self.op_of(h) in ("reciprocal", "sqrt", "power")
+                for h in scalars):
+            groups = {}  # base nid -> [base, exponent], first seen first
+            for h in scalars:
+                base, e = self._base_exp(h)
+                groups.setdefault(base.nid, [base, 0.0])[1] += e
+            kept = [(s, h) for s, h in kept if s != ""] + [
+                ("", h) for base, e in groups.values()
+                for h in self._power_factors(base, e)]
+            # a collected base can be a sum or an einsum, as in
+            # sqrt(a+b) * sqrt(a+b): emit again to multiply it out or merge it
+            if any(self.op_of(h) in ("add", "einsum") for _, h in kept):
+                if coef != 1.0:
+                    kept.append(("", self.const(coef)))
+                return self.emit_einsum(",".join([s for s, _ in kept])
+                                        + "->" + out, [h for _, h in kept])
+
+        if all(type(nodes[h.nid]) is ConstNode for _, h in kept):
+            return self.const(coef * G._eval_prim(
+                "einsum", (",".join([s for s, _ in kept]) + "->" + out,),
+                [self.cval(h) for _, h in kept]) if kept
+                else np.full(out_shape, coef))
+        if coef != 1.0:
+            kept.append(("", self.const(coef)))
+        if len(kept) == 1 and kept[0][0] == out:
+            return kept[0][1]  # identity contraction unwraps
+        # deterministic operand order, then canonical index renaming
+        kept.sort(key=self._order)
+        return _Mono(G.rename_formula(",".join([s for s, _ in kept])
+                                      + "->" + out),
+                     tuple([h for _, h in kept]), out_shape)
+
+    def _fold(self, operands, out, extents):
+        """[coefficient, *kept operands], constants folded left to right:
+        scalars multiply in, all-ones factors fold or slim down, and a
+        zero annihilates (then the zeros constant is returned)."""
         kinds = [self.const_kind(h) if self.is_const(h) else None
                  for _, h in operands]
-
         # duplicate copies of one all-ones factor multiply to itself
-        deduped = []
-        seen_ones = set()
+        deduped, seen_ones = [], set()
         for (subs, h), kind in zip(operands, kinds):
             if kind is not None and kind[0]:
-                key = (subs, h.nid)
-                if key in seen_ones:
+                if (subs, h.nid) in seen_ones:
                     continue
-                seen_ones.add(key)
+                seen_ones.add((subs, h.nid))
             deduped.append((subs, h, kind))
-        operands = [(subs, h) for subs, h, _ in deduped]
-
-        kept = []
+        kept = [1.0]
         for j, (subs, h, kind) in enumerate(deduped):
-            if kind is None:
+            if kind is None or not (subs == "" or kind[0] or kind[1]):
                 kept.append((subs, h))
-                continue
-            if kind[1]:
-                return self.const(np.zeros(out_shape))
-            v = self.cval(h)
-            if subs == "":
-                coef *= float(v)
-            elif kind[0]:
-                elsewhere = set(out)
-                for j2, (s2, _h2) in enumerate(operands):
-                    if j2 != j:
-                        elsewhere.update(s2)
-                needed = [c for c in dict.fromkeys(subs) if c in elsewhere]
+            elif kind[1]:
+                return self.const(np.zeros([extents[c] for c in out]))
+            elif subs == "":
+                kept[0] *= float(self.cval(h))
+            else:
+                elsewhere = set(out).union(*(
+                    s2 for j2, (s2, _, _) in enumerate(deduped) if j2 != j))
                 for c in dict.fromkeys(subs):
                     if c not in elsewhere:
-                        coef *= extents[c]
-                needed = "".join(needed)
+                        kept[0] *= extents[c]
+                needed = "".join(c for c in dict.fromkeys(subs)
+                                 if c in elsewhere)
                 if needed == subs:  # nothing to slim: the factor itself
                     kept.append((subs, h))
                 elif needed:
-                    kept.append((needed,
-                                 self.const(np.ones([extents[c] for c in needed]))))
-            else:
-                kept.append((subs, h))
-        operands = kept
-
-        # collect exponents of scalar factors sharing a base node
-        scalars = [(s, h) for s, h in operands if s == ""]
-        if len(scalars) > 1:
-            rest = [(s, h) for s, h in operands if s != ""]
-            groups = {}  # base nid -> [base, exponent], first seen first
-            for _, h in scalars:
-                base, e = self._base_exp(h)
-                groups.setdefault(base.nid, [base, 0.0])[1] += e
-            operands = rest
-            for base, e in groups.values():
-                for h in self._power_factors(base, e):
-                    operands.append(("", h))
-            # a collected base can be a sum or an einsum, as in
-            # sqrt(a+b) * sqrt(a+b): emit again to multiply it out or merge it
-            if any(self.op_of(h) in ("add", "einsum") for _, h in operands):
-                if coef != 1.0:
-                    operands.append(("", self.const(coef)))
-                return self.emit_einsum(
-                    ",".join(s for s, _ in operands) + "->" + out,
-                    [h for _, h in operands])
-
-        if not operands:
-            return self.const(np.full(out_shape, coef))
-        if all(self.is_const(h) for _, h in operands):
-            lhs = ",".join(s for s, _ in operands)
-            val = coef * G._eval_prim(
-                "einsum", (lhs + "->" + out,), [self.cval(h) for _, h in operands])
-            return self.const(val)
-        if coef != 1.0:
-            operands.append(("", self.const(coef)))
-
-        # identity contraction unwraps
-        if len(operands) == 1 and operands[0][0] == out:
-            return operands[0][1]
-
-        # deterministic operand order, then canonical index renaming
-        def key(item):
-            subs, h = item
-            node = self.node(h)
-            name = node.name if isinstance(node, InputNode) else ""
-            return (0 if self.is_const(h) else 1, name, self.gb.digest(h), subs)
-
-        operands.sort(key=key)
-        formula = ",".join(s for s, _ in operands) + "->" + out
-        return self.gb.prim("einsum", [h for _, h in operands],
-                            (G.rename_formula(formula),))
+                    kept.append((needed, self.const(
+                        np.ones([extents[c] for c in needed]))))
+        return kept
 
     def _multiply_out(self, operands, out):
         """Distribute an einsum over its sum operands. The other operands
         multiply into one partial product; each sum in turn multiplies
         every partial term by every leaf, keeping only the index letters
-        that later operands or the output still need. Partial terms are
-        collected by node id with multiplicity before the next sum, so
-        equal products are formed once."""
+        that later operands or the output still need. Partial products are
+        factor lists (:class:`_Mono`), merged without building a node, and
+        are collected as like terms with multiplicity before the next sum,
+        so equal products are multiplied further once."""
         plain = [(s, h) for s, h in operands if not self.is_sum(h)]
         sums = [(s, self._as_lazy(h)) for s, h in operands if self.is_sum(h)]
         if not plain and len(sums) == 1 and sums[0][0] == out:
@@ -411,21 +459,35 @@ class _Simplifier:
             [h for _, h in plain]) if plain else self.const(1.0), 1)
         for j, (subs, lazy) in enumerate(sums):
             new = needed(letters + subs, j + 1)
-            formula = f"{letters},{subs}->{new}"
             left, right = self._leaves(acc), self._leaves(lazy)
             if len(right) > 1:
                 self.budget.spend("distribute_einsum",
                                   len(left) * (len(right) - 1))
-            acc = _LazySum([extents[c] for c in new])
+            # emit_einsum(f"{letters},{subs}->{new}", [term, leaf]) for
+            # each pair: a term is relabeled once, a leaf once per count of
+            # summed letters its term draws first
+            used = set(letters + subs)
+            free = [c for c in INDEX_ALPHABET if c not in used]
+            right = [(leaf, m, self.einsum_parts(leaf)) for leaf, m in right]
+            relabeled, acc = {}, _LazySum([extents[c] for c in new])
             for h, k in left:
-                for leaf, m in right:
-                    self._add_to(acc, self.emit_einsum(formula, [h, leaf]),
-                                 k * m)
+                parts = self.einsum_parts(h)
+                n = _summed(parts[0].formula) if parts else 0
+                factors = self._relabel(letters, h, parts, iter(free))
+                for i, (leaf, m, lparts) in enumerate(right):
+                    _letters(len(used) + n
+                             + (_summed(lparts[0].formula) if lparts else 0))
+                    if (i, n) not in relabeled:
+                        relabeled[i, n] = self._relabel(
+                            subs, leaf, lparts, iter(free[n:]))
+                    self._add_to(acc, self._product(
+                        factors + relabeled[i, n], new), k * m)
             letters = new
         return acc
 
     def _leaves(self, lazy):
-        """(handle, multiplicity) terms of a sum, each at the sum's shape."""
+        """(monomial, multiplicity) terms of a sum, each at the sum's
+        shape."""
         terms = [(self.broadcast(h, lazy.shape), k) for h, k in lazy.terms()]
         if lazy.const is not None and np.any(lazy.const):
             terms.append(
@@ -433,7 +495,7 @@ class _Simplifier:
         return terms
 
     def _add_to(self, acc, x, k):
-        """acc += k * x, for a handle or a sum x of acc's shape."""
+        """acc += k * x, for a handle, product or sum x of acc's shape."""
         terms = self._leaves(x) if isinstance(x, _LazySum) else [(x, 1)]
         for h, m in terms:
             if self.is_const(h):
@@ -477,6 +539,9 @@ class _Simplifier:
         if isinstance(x, _LazySum):
             return x
         lazy = _LazySum(x.shape)
+        if isinstance(x, _Mono):
+            self.add_leaf(lazy, x, 1.0)
+            return lazy
         nodes = self.gb._nodes
         for i in _add_leaves(nodes, x.nid):
             node = nodes[i]
@@ -488,21 +553,27 @@ class _Simplifier:
         return lazy
 
     def lazy_sum(self, *parts):
-        """Sum of c * x over the (c, x) pairs, x a handle or a sum."""
+        """Sum of c * x over the (c, x) pairs, x a handle, product or
+        sum."""
         parts = [(c, self._as_lazy(x)) for c, x in parts]
         out = _LazySum(np.broadcast_shapes(*(x.shape for _, x in parts)))
         for c, x in parts:
-            for h, k, whole in x.counts.values():
-                out.add_leaf(h, c * k, whole if c == 1.0 else None)
+            for key, (h, k, whole) in x.counts.items():
+                out.add_leaf(key, h, c * k, whole if c == 1.0 else None)
             if x.const is not None:
                 v = x.const if c == 1.0 else c * x.const
                 out.const = v if out.const is None else out.const + v
         return out
 
     def realize(self, x):
+        """The node of a handle, product or sum: each monomial of a sum is
+        built once, its coefficient included, into an add chain sorted by
+        structural digest."""
+        if isinstance(x, _Mono):
+            return self.gb.prim("einsum", x.args, (x.formula,))
         if not isinstance(x, _LazySum):
             return x
-        terms = [h if k == 1.0 else self.ew_product([self.const(float(k)), h])
+        terms = [self.realize(h) if k == 1.0 else self._scaled(h, k)
                  for h, k in x.terms()]
         if x.const is not None and np.any(x.const):
             terms.append(self.const(x.const))
@@ -517,6 +588,17 @@ class _Simplifier:
                 acc = self.realize(self.broadcast(acc, x.shape))
         return acc
 
+    def _scaled(self, h, k):
+        """The node of k * h, h a monomial without coefficient, as
+        emit_einsum orders it: h in canonical letters sorted with k."""
+        parts = self.einsum_parts(h)
+        spec = espec(G.rename_formula(parts[0].formula) if parts
+                     else "->".join([INDEX_ALPHABET[:len(h.shape)]] * 2))
+        ops = sorted([*zip(spec.operand_subscripts, parts[1] if parts else [h]),
+                      ("", self.const(float(k)))], key=self._order)
+        return self.gb.prim("einsum", [a for _, a in ops], (G.rename_formula(
+            ",".join([s for s, _ in ops]) + "->" + spec.output),))
+
     # -- per-node emission -------------------------------------------------
 
     def emit(self, op, attrs, args):
@@ -525,12 +607,14 @@ class _Simplifier:
             return self.lazy_sum((1.0, args[0]), (sign, args[1]))
         if op == "negate":
             return self.lazy_sum((-1.0, args[0]))
-        # the einsum-building ops take a sum of two or more terms as it is,
-        # and emit_einsum multiplies it out
+        # the einsum-building ops take a product, or a sum of two or more
+        # terms, as it is: emit_einsum merges the one, multiplies out the
+        # other
         keep = op in ("multiply", "divide", "square", "sum_axis",
                       "broadcast_to", "einsum")
-        args = [a if keep and isinstance(a, _LazySum)
-                and len(a.counts) + (a.const is not None) > 1
+        args = [a if keep and (isinstance(a, _Mono) or (
+                    isinstance(a, _LazySum)
+                    and len(a.counts) + (a.const is not None) > 1))
                 else self.realize(a) for a in args]
         folded = self._try_fold(op, attrs, args)
         if folded is not None:

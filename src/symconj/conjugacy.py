@@ -51,8 +51,8 @@ import numpy as np
 
 from . import graph as G
 from .canonicalize import (
-    CanonicalForm, _Budget, _fire_rules, _form, _Simplifier, _sweep,
-    canonicalize, monomials,
+    REGISTRY, CanonicalForm, _Budget, _fire_rules, _form, _Simplifier,
+    _sweep, canonicalize, monomials,
 )
 from .errors import ConjugacyError, NonMultiaffineError, UnknownFamilyError
 from .expfam import (
@@ -424,7 +424,10 @@ def marginalize(log_joint: TermGraph, argnum: int, support) -> TermGraph:
     a = s.gb.finish(blk.family.lognorm_graph(s.gb, etas))
     out = _sweep(s, a, {i: G.ExprHandle(s.gb, i) for i in range(copied)},
                  plus=g0)
-    form = _form(_fire_rules(G.cse(s.gb.finish(out, scalar=True)), s.budget))
+    g = G.cse(s.gb.finish(out, scalar=True))
+    if any(rule.match(g, i) for i in range(len(g)) for rule in REGISTRY):
+        g = _fire_rules(g, s.budget)  # only then: most A(eta) split no log
+    form = _form(g)
     form.graph._canonical = form  # re-canonicalizing gives an equal graph
     return form.graph
 

@@ -730,7 +730,8 @@ def rebuild(gb, g, nid, memo, substitute=None):
     entry stands in for its node, whose interior is then never visited.
     ``substitute(i)``, when given, is asked the first time node ``i`` is
     reached and returns a handle to stand in for it, or ``None`` to copy
-    the node.
+    the node. A copy whose arguments keep their shapes is re-keyed, not
+    checked again; any other goes through :meth:`GraphBuilder.prim`.
     """
     def reach(i):
         """Node i's handle; None for a primitive still to be emitted."""
@@ -763,7 +764,14 @@ def rebuild(gb, g, nid, memo, substitute=None):
         if i is None:
             return done[0]
         node = g.nodes[i]
-        memo[i] = h = gb.prim(node.op, done, node.attrs)
+        if all(h.builder is gb and h.shape == g.shapes[a]
+               for h, a in zip(done, node.args)):
+            # the node passed the checks when g was built: only re-key it
+            h = gb._append(PrimNode(node.op, node.attrs, tuple(
+                [h.nid for h in done])), g.shapes[i])
+        else:
+            h = gb.prim(node.op, done, node.attrs)
+        memo[i] = h
         stack[-1][1].append(h)
 
 
@@ -1052,18 +1060,31 @@ def dump(g: TermGraph, format: str = "text") -> str:
     raise GraphError(f"unknown dump format {format!r}")
 
 
+RENDER_LIMIT = 1000  # characters of render's text before its "..."
+
+
 def render(g: TermGraph, nid: int, names=None) -> str:
     """The expression computed at node ``nid`` as one line: inputs by
     name, or by their text in ``names`` (input name -> text), scalar
-    constants by value, primitives as ``op(args)``."""
-    node = g.nodes[nid]
-    if isinstance(node, InputNode):
-        return (names or {}).get(node.name, node.name)
-    if isinstance(node, ConstNode):
-        v = node.value
-        return format(float(v), "g") if v.shape == () else (
-            f"const{_shape_token(v.shape)}")
-    return f"{node.op}({', '.join(render(g, a, names) for a in node.args)})"
+    constants by value, primitives as ``op(args)``, cut after
+    :data:`RENDER_LIMIT` characters with ``...``."""
+    text, stack = [], [nid]  # characters; node ids and text still to write
+    while stack and len(text) <= RENDER_LIMIT:
+        item = stack.pop()
+        node = item if isinstance(item, str) else g.nodes[item]
+        if isinstance(node, PrimNode):
+            text += node.op + "("
+            stack += [")"] + [t for a in node.args[:0:-1] for t in (a, ", ")]
+            stack.append(node.args[0])
+        elif isinstance(node, InputNode):
+            text += (names or {}).get(node.name, node.name)
+        elif isinstance(node, ConstNode):
+            text += format(float(node.value), "g") if node.shape == () else (
+                f"const{_shape_token(node.shape)}")
+        else:
+            text += node
+    text = "".join(text)
+    return text if len(text) <= RENDER_LIMIT else text[:RENDER_LIMIT] + "..."
 
 
 def _labels(g):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from symconj.errors import (
     UnknownFamilyError,
 )
 from symconj.expfam import DESCRIPTORS, SupportType
-from symconj.graph import ConstNode, InputNode
-from symconj.models import fixture
+from symconj.graph import ConstNode, InputNode, PrimNode
+from symconj.models import fixture, fixtures
 
 from oracles import (
     central_diff, gauss_hermite_integral, gmm_conditionals, log_quad,
@@ -1093,3 +1094,108 @@ class TestMarginalEqualsWholeCanonicalization:
                 {f"y{t}": ys[t] for t in range(T)}, q=q, r=r)))
             want = chain_evidence(ys, q, r)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+class TestMarginalRulePhase:
+    """A marginal runs the log rule phase only when a log of g0 + A(eta)
+    matches a rule, and then gives the graph canonicalizing it whole
+    gives."""
+
+    @staticmethod
+    def rule_phases(monkeypatch):
+        phases = []
+        real = conjugacy._fire_rules
+
+        def logged(g, budget, firing_log=None):
+            fired = []
+            out = real(g, budget, fired)
+            phases.append(fired)
+            return out
+
+        monkeypatch.setattr(conjugacy, "_fire_rules", logged)
+        return phases
+
+    def test_log_of_product_in_the_normalizer_still_splits(self, monkeypatch):
+        # integrating z out leaves lgamma(a) - a log(b c)
+        def model(z, a, b, c):
+            return (a - 1.0) * G.log(z) - b * c * z
+        g = G.build(model, [("z", ()), ("a", ()), ("b", ()), ("c", ())])
+        want = whole_marginal(g, 0, SupportType.NONNEGATIVE)
+        phases = self.rule_phases(monkeypatch)
+        m = marginalize(g, 0, SupportType.NONNEGATIVE)
+        assert phases == [["log_product"]]
+        assert G.graph_equal(m, want)
+
+    def test_reference_marginals_skip_the_empty_phase(self, monkeypatch):
+        phases = self.rule_phases(monkeypatch)
+        for name in REFERENCE:
+            fx = fixture(name)
+            g = fx.graph()
+            for argnum, support in fx.latents:
+                marginalize(g, argnum, support)
+        assert phases == []
+
+
+class TestAppendedNodes:
+    """Nodes appended through GraphBuilder, not time: multiplying out
+    builds each distinct monomial once, and compiling the fixtures
+    appends fewer nodes than when every partial product was a node (1,782
+    for the ten canonical forms, 1,820 for the reference marginals)."""
+
+    @staticmethod
+    def appending(m, into):
+        real = G.GraphBuilder._append
+
+        def counted(gb, node, shape):
+            before = len(gb._nodes)
+            h = real(gb, node, shape)
+            if len(gb._nodes) > before:
+                into.append((id(gb), node))
+            return h
+
+        m.setattr(G.GraphBuilder, "_append", counted)
+
+    def test_power_of_sum_builds_each_monomial_once(self, monkeypatch):
+        g = G.build(lambda u, v, w: G.sum_all((u + v + w) ** 3.0),
+                    [("u", (3,)), ("v", (3,)), ("w", (3,))])
+        appended = []
+        with monkeypatch.context() as m:
+            self.appending(m, appended)
+            cf = canonicalize(g)
+        assert len(cf.monomials) == 10
+        einsums = Counter(gb for gb, node in appended if isinstance(
+            node, PrimNode) and node.op == "einsum")
+        # the sweep's builder, then the copy that renumbers its graph
+        assert list(einsums.values()) == [10, 10]
+
+    def test_fixture_compile_work_stays_under_node_products(self, monkeypatch):
+        graphs = {fx.name: fx.graph() for fx in fixtures()}
+        for name in REFERENCE:
+            for argnum, support in fixture(name).latents:
+                complete_conditional(graphs[name], argnum, support)
+        canonical, marginals = [], []
+        with monkeypatch.context() as m:
+            self.appending(m, canonical)
+            for g in graphs.values():
+                canonicalize(g)
+        with monkeypatch.context() as m:
+            self.appending(m, marginals)
+            for name in REFERENCE:
+                for argnum, support in fixture(name).latents:
+                    marginalize(graphs[name], argnum, support)
+        assert len(canonical) < 1782
+        assert len(marginals) < 1820
+
+
+class TestRenderedAtoms:
+    def test_deeply_nested_atom_names_its_family_error(self):
+        def model(z, x):
+            h = z
+            for _ in range(1500):
+                h = G.logistic(h)
+            return G.einsum(",->", h, x)
+        g = G.build(model, [("z", ()), ("x", ())])
+        with pytest.raises(UnknownFamilyError) as err:
+            complete_conditional(g, 0, SupportType.REAL)
+        (atom,) = err.value.atoms
+        assert atom.startswith("logistic(logistic(") and atom.endswith("...")

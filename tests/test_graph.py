@@ -849,6 +849,54 @@ class TestTracedBenchmarkNames:
         assert G.evaluate is original
 
 
+def recursive_render(g, nid, names=None):
+    """render's text by plain recursion, with no length limit: the
+    reference for texts within the limit."""
+    node = g.nodes[nid]
+    if isinstance(node, G.InputNode):
+        return (names or {}).get(node.name, node.name)
+    if isinstance(node, G.ConstNode):
+        v = node.value
+        return format(float(v), "g") if v.shape == () else (
+            f"const({','.join(str(d) for d in v.shape)})")
+    return (f"{node.op}("
+            f"{', '.join(recursive_render(g, a, names) for a in node.args)})")
+
+
+class TestRender:
+    def test_short_text_is_written_out(self):
+        g = G.build(lambda a, b: G.log(a * b + 2.0) - G.sum_all(a),
+                    [("a", (3,)), ("b", ())], scalar=False)
+        assert G.render(g, g.output) == (
+            "subtract(log(add(multiply(a, b), 2)), einsum(a))")
+        assert G.render(g, g.output, {"a": "x[0]"}).endswith("einsum(x[0]))")
+
+    def test_fixture_texts_match_the_recursive_text(self):
+        for fx in fixtures():
+            for g in (fx.graph(), canonicalize(fx.graph()).graph):
+                for nid in range(len(g)):
+                    want = recursive_render(g, nid)
+                    if len(want) <= G.RENDER_LIMIT:
+                        assert G.render(g, nid) == want
+
+    def test_shared_subterms_stop_at_the_limit(self):
+        gb = G.GraphBuilder()
+        h = gb.input("y", ())
+        for _ in range(18):  # 2**18 copies of y when written out
+            h = G.log(h + h)
+        text = G.render(gb.finish(h), h.nid)
+        assert len(text) == G.RENDER_LIMIT + len("...")
+        assert text.startswith("log(add(log(add(") and text.endswith("...")
+
+    def test_deep_chain_renders_without_recursion(self):
+        gb = G.GraphBuilder()
+        h = gb.input("z", ())
+        for _ in range(1500):
+            h = G.logistic(h)
+        text = G.render(gb.finish(h), h.nid)
+        assert text == ("logistic(" * 1500)[:G.RENDER_LIMIT] + "..."
+
+
 class TestDump:
     def test_single_input_identity(self):
         g = G.build(lambda x: x, [("x", (3,))], scalar=False)
