@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,7 +53,8 @@ from scipy import special as sp
 from . import graph as G
 from .canonicalize import local_simplify, monomials
 from .errors import NaturalDomainError, SupportError, UnknownFamilyError
-from .tensor import INDEX_ALPHABET, logsumexp, one_hot as one_hot_value
+from .tensor import (INDEX_ALPHABET, all_true, logsumexp,
+                     one_hot as one_hot_value)
 
 __all__ = [
     "SupportType", "FamilySpec", "Distribution", "register_builtin_families",
@@ -135,6 +136,13 @@ def _fns(x):
     return _GRAPH_FNS if isinstance(x, G.ExprHandle) else _ARRAY_FNS
 
 
+def _require(ok, message):
+    """Raise :class:`NaturalDomainError` unless ``ok`` holds everywhere,
+    reading a rank-0 mask without a reduction; ``x < inf`` fails on NaN."""
+    if not (all_true(ok) if hasattr(ok, "ndim") else ok):
+        raise NaturalDomainError(message)
+
+
 # ---------------------------------------------------------------------------
 # seeded samplers built from uniform/normal draws
 
@@ -188,21 +196,6 @@ def _std_gamma_scalar(rng, a):
     return d * v * np.power(rng.random(), 1.0 / a) if a < 1.0 else d * v
 
 
-def _gamma_sample(rng, shape_param, rate):
-    return _std_gamma(rng, shape_param) / np.asarray(rate, dtype=np.float64)
-
-
-def _beta_sample(rng, a, b):
-    x = _std_gamma(rng, a)
-    y = _std_gamma(rng, b)
-    return x / (x + y)
-
-
-def _dirichlet_sample(rng, alpha):
-    g = _std_gamma(rng, alpha)
-    return g / np.sum(g, axis=-1, keepdims=True)
-
-
 def _categorical_sample(rng, logits):
     """Inverse-CDF draw per row. The last class takes every draw past the
     second-last cumulative probability, so rounding that leaves the total
@@ -222,7 +215,9 @@ class FamilySpec:
     forms ``check_domain``, ``log_normalizer``, ``mean_params``, ``sample``,
     ``to_standard`` and ``from_standard``. ``nat`` everywhere is a dict
     descriptor -> ndarray; ``pad_nat`` and ``log_normalizer`` also take
-    graph handles in its place."""
+    graph handles in its place. ``check_domain`` raises
+    :class:`NaturalDomainError` and returns None, or a tuple of what the
+    closed forms on values also accept after ``nat`` (and ``rng``)."""
 
     name: str = ""
     support: SupportType
@@ -237,7 +232,9 @@ class FamilySpec:
 
     def pad_nat(self, nat: dict) -> dict:
         """Zero-fill statistics the model omitted (a missing statistic has
-        natural parameter 0)."""
+        natural parameter 0); ``nat`` itself when none is missing."""
+        if nat.keys() >= self.signature:
+            return nat
         nat = dict(nat)
         like = next(iter(nat.values()))
         shape = self.batch_shape(nat)
@@ -303,8 +300,8 @@ class BernoulliFamily(FamilySpec):
     signature = frozenset({"identity"})
 
     def check_domain(self, nat):
-        if not np.all(np.isfinite(nat["identity"])):
-            raise NaturalDomainError("Bernoulli: logit must be finite")
+        _require(np.isfinite(nat["identity"]),
+                 "Bernoulli: logit must be finite")
 
     def log_normalizer(self, nat):
         return _fns(nat["identity"]).softplus(nat["identity"])
@@ -336,8 +333,8 @@ class CategoricalFamily(FamilySpec):
         return nat["one_hot"].shape[:-1]
 
     def check_domain(self, nat):
-        if not np.all(np.isfinite(nat["one_hot"])):
-            raise NaturalDomainError("Categorical: logits must be finite")
+        _require(np.isfinite(nat["one_hot"]),
+                 "Categorical: logits must be finite")
 
     def log_normalizer(self, nat):
         return _fns(nat["one_hot"]).logsumexp(nat["one_hot"])
@@ -380,9 +377,10 @@ class BetaFamily(FamilySpec):
     signature = frozenset({"log", "log1p_neg"})
 
     def check_domain(self, nat):
-        if not (np.all(nat["log"] > -1) and np.all(nat["log1p_neg"] > -1)):
-            raise NaturalDomainError(
-                "Beta: both pseudo-count parameters must exceed -1")
+        a, b = nat["log"], nat["log1p_neg"]
+        _require((a > -1) & (b > -1),
+                 "Beta: both pseudo-count parameters must exceed -1")
+        _require(a + b < np.inf, "Beta: parameters must be finite")
 
     def log_normalizer(self, nat):
         f = _fns(nat["log"])
@@ -397,7 +395,8 @@ class BetaFamily(FamilySpec):
                 "log1p_neg": sp.psi(b) - sp.psi(a + b)}
 
     def sample(self, nat, rng):
-        return _beta_sample(rng, nat["log"] + 1.0, nat["log1p_neg"] + 1.0)
+        x = _std_gamma(rng, nat["log"] + 1.0)
+        return x / (x + _std_gamma(rng, nat["log1p_neg"] + 1.0))
 
     def to_standard(self, nat):
         return {"a": nat["log"] + 1.0, "b": nat["log1p_neg"] + 1.0}
@@ -413,10 +412,10 @@ class GammaFamily(FamilySpec):
     signature = frozenset({"identity", "log"})
 
     def check_domain(self, nat):
-        if not np.all(nat["identity"] < 0):
-            raise NaturalDomainError("Gamma: rate-side parameter must be < 0")
-        if not np.all(nat["log"] > -1):
-            raise NaturalDomainError("Gamma: shape-side parameter must be > -1")
+        rate, shape = nat["identity"], nat["log"]
+        _require(rate < 0, "Gamma: rate-side parameter must be < 0")
+        _require(shape > -1, "Gamma: shape-side parameter must be > -1")
+        _require(shape - rate < np.inf, "Gamma: parameters must be finite")
 
     def log_normalizer(self, nat):
         f = _fns(nat["log"])
@@ -430,7 +429,7 @@ class GammaFamily(FamilySpec):
         return {"identity": a / b, "log": sp.psi(a) - np.log(b)}
 
     def sample(self, nat, rng):
-        return _gamma_sample(rng, nat["log"] + 1.0, -nat["identity"])
+        return _std_gamma(rng, nat["log"] + 1.0) / -nat["identity"]
 
     def to_standard(self, nat):
         return {"shape": nat["log"] + 1.0, "rate": -nat["identity"]}
@@ -449,8 +448,8 @@ class DirichletFamily(FamilySpec):
         return nat["log"].shape[:-1]
 
     def check_domain(self, nat):
-        if not np.all(nat["log"] > -1):
-            raise NaturalDomainError("Dirichlet: parameters must exceed -1")
+        _require(nat["log"] > -1, "Dirichlet: parameters must exceed -1")
+        _require(nat["log"] < np.inf, "Dirichlet: parameters must be finite")
 
     def log_normalizer(self, nat):
         f = _fns(nat["log"])
@@ -463,7 +462,8 @@ class DirichletFamily(FamilySpec):
             np.sum(alpha, axis=-1, keepdims=True))}
 
     def sample(self, nat, rng):
-        return _dirichlet_sample(rng, nat["log"] + 1.0)
+        g = _std_gamma(rng, nat["log"] + 1.0)
+        return g / np.sum(g, axis=-1, keepdims=True)
 
     def to_standard(self, nat):
         return {"alpha": nat["log"] + 1.0}
@@ -480,11 +480,13 @@ class NormalFamily(FamilySpec):
     signature = frozenset({"identity", "square"})
 
     def check_domain(self, nat):
-        if not np.all(nat["square"] < 0):
-            raise NaturalDomainError(
-                "Normal: the square-statistic parameter must be < 0")
-        if not np.all(np.isfinite(nat["identity"])):
-            raise NaturalDomainError("Normal: location parameter must be finite")
+        square = nat["square"]
+        _require(square < 0,
+                 "Normal: the square-statistic parameter must be < 0")
+        _require(square > -np.inf,
+                 "Normal: the square-statistic parameter must be finite")
+        _require(np.isfinite(nat["identity"]),
+                 "Normal: location parameter must be finite")
 
     def log_normalizer(self, nat):
         e1, e2 = nat["identity"], nat["square"]
@@ -519,10 +521,12 @@ class MultivariateNormalFamily(FamilySpec):
     the matrix parameter before any check or closed form, and the mean map
     reports its mean as the diagonal of E[z z^T].
 
-    Only the matrix parameter's symmetric part matters: :meth:`_lam`,
-    which every closed form on values calls, takes it. The graph-only A
-    (:meth:`lognorm_graph`) inverts the matrix parameter as it is, so it
-    relies on a symmetric one, as the conjugacy analysis extracts it."""
+    The closed forms on values share one Cholesky factor L of the
+    precision Lambda = -2 sym(eta2), L L^T = Lambda, which
+    :meth:`check_domain` returns: only the matrix parameter's symmetric
+    part matters there. The graph-only A (:meth:`lognorm_graph`) inverts
+    the matrix parameter as it is, so it relies on a symmetric one, as the
+    conjugacy analysis extracts it."""
 
     name = "MultivariateNormal"
     support = SupportType.REAL
@@ -543,59 +547,49 @@ class MultivariateNormalFamily(FamilySpec):
               else f.zeros(e2, e2.shape[:-1]))
         return {"outer": e2, "identity": e1}
 
-    def _lam(self, nat):
-        e2 = nat["outer"]
-        sym = 0.5 * (e2 + np.swapaxes(e2, -1, -2))
-        return -2.0 * sym
-
     def check_domain(self, nat):
-        lam = self._lam(nat)
-        n = lam.shape[-1]
+        e2 = nat["outer"]
+        lam = -(e2 + np.swapaxes(e2, -1, -2))
         try:
             chol = np.linalg.cholesky(lam)
         except np.linalg.LinAlgError as exc:
             raise NaturalDomainError(
                 f"MultivariateNormal: -2*eta2 is not positive definite: {exc}")
-        trace_scale = np.trace(lam, axis1=-2, axis2=-1) / max(n, 1)
-        piv = np.min(np.einsum("...ii->...i", chol), axis=-1)
-        if np.any(piv * piv <= 1e-12 * np.maximum(trace_scale, 1e-300)):
-            raise NaturalDomainError(
-                "MultivariateNormal: -2*eta2 is numerically singular")
+        piv = np.einsum("...ii->...i", chol)
+        _require(np.isfinite(piv) & np.isfinite(nat["identity"]),
+                 "MultivariateNormal: parameters must be finite")
+        scale = np.trace(lam, axis1=-2, axis2=-1) / max(lam.shape[-1], 1)
+        _require(piv * piv > 1e-12 * np.maximum(scale, 1e-300)[..., None],
+                 "MultivariateNormal: -2*eta2 is numerically singular")
+        return (chol,)
 
-    def log_normalizer(self, nat):
-        lam = self._lam(nat)
-        e1 = nat["identity"]
-        m = np.linalg.solve(lam, e1[..., None])[..., 0]
-        _, ld = np.linalg.slogdet(lam)
-        d = lam.shape[-1]
-        return 0.5 * np.sum(e1 * m, axis=-1) - 0.5 * ld + 0.5 * d * LOG_2PI
+    def log_normalizer(self, nat, chol=None):
+        """|L^-1 eta1|^2 / 2 - sum log diag L + d log(2 pi) / 2."""
+        chol = self.check_domain(nat)[0] if chol is None else chol
+        w = np.linalg.solve(chol, nat["identity"][..., None])
+        logdet = 2.0 * np.sum(np.log(np.einsum("...ii->...i", chol)), axis=-1)
+        return (0.5 * np.sum(w * w, axis=(-2, -1)) - 0.5 * logdet
+                + 0.5 * chol.shape[-1] * LOG_2PI)
 
-    def mean_params(self, nat):
-        lam = self._lam(nat)
-        e1 = nat["identity"]
-        cov = np.linalg.inv(lam)
-        m = np.einsum("...ij,...j->...i", cov, e1)
+    def mean_params(self, nat, chol=None):
+        m, cov = self.to_standard(nat, chol).values()
         outer = cov + np.einsum("...i,...j->...ij", m, m)
         return {"identity": m, "outer": outer,
                 "square": np.diagonal(outer, axis1=-2, axis2=-1).copy()}
 
-    def sample(self, nat, rng):
-        std = self.to_standard(nat)
-        m, cov = std["mean"], std["cov"]
-        chol = np.linalg.cholesky(cov)
-        eps = rng.standard_normal(m.shape)
-        return m + np.einsum("...ij,...j->...i", chol, eps)
+    def sample(self, nat, rng, chol=None):
+        """The mean L^-T L^-1 eta1 plus L^-T eps."""
+        chol = self.check_domain(nat)[0] if chol is None else chol
+        w = np.linalg.solve(chol, nat["identity"][..., None])
+        return np.linalg.solve(np.swapaxes(chol, -1, -2),
+                               w + rng.standard_normal(w.shape))[..., 0]
 
-    def dot_nat_stats(self, nat, stats):
-        t1 = np.sum(nat["identity"] * stats["identity"], axis=-1)
-        t2 = np.sum(nat["outer"] * stats["outer"], axis=(-1, -2))
-        return t1 + t2
-
-    def to_standard(self, nat):
-        lam = self._lam(nat)
-        cov = np.linalg.inv(lam)
-        m = np.einsum("...ij,...j->...i", cov, nat["identity"])
-        return {"mean": m, "cov": cov}
+    def to_standard(self, nat, chol=None):
+        chol = self.check_domain(nat)[0] if chol is None else chol
+        inv = np.linalg.solve(chol, np.eye(chol.shape[-1]))  # L^-1
+        cov = np.swapaxes(inv, -1, -2) @ inv
+        return {"mean": np.einsum("...ij,...j->...i", cov, nat["identity"]),
+                "cov": cov}
 
     def from_standard(self, mean, cov):
         mean = np.asarray(mean, dtype=np.float64)
@@ -701,29 +695,33 @@ BUILTIN = register_builtin_families()
 class Distribution:
     """A concrete member: family plus natural parameters, put in the
     family's convention by :meth:`FamilySpec.pad_nat` and validated at
-    construction."""
+    construction. What the check returns, the multivariate normal's
+    Cholesky factor, is kept in ``factor`` and handed to the closed forms:
+    each distribution factors its matrix once."""
 
     family: FamilySpec
     nat: dict
+    factor: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nat", self.family.pad_nat(self.nat))
-        self.family.check_domain(self.nat)
+        object.__setattr__(self, "factor",
+                           self.family.check_domain(self.nat) or ())
 
     def log_normalizer(self):
-        return self.family.log_normalizer(self.nat)
+        return self.family.log_normalizer(self.nat, *self.factor)
 
     def mean_params(self):
-        return self.family.mean_params(self.nat)
+        return self.family.mean_params(self.nat, *self.factor)
 
     def sample(self, rng):
-        return self.family.sample(self.nat, rng)
+        return self.family.sample(self.nat, rng, *self.factor)
 
     def log_prob(self, value):
         return self.family.log_prob(self.nat, value)
 
     def standard(self):
-        return self.family.to_standard(self.nat)
+        return self.family.to_standard(self.nat, *self.factor)
 
     def describe(self):
         return self.family.describe(self.nat)

@@ -32,6 +32,7 @@ operations here are pure: they return new graphs and never mutate.
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import hashlib
@@ -636,9 +637,12 @@ class EvalPlan:
         such operands and a free one is split: the bound operands are
         contracted here, over every index that neither a free operand nor
         the output reads, and the plan keeps the contraction of that one
-        factor with the free operands. The plan returned holds the values
-        it still reads and runs only the other inputs and steps, so later
-        changes to the arrays in ``env`` are not seen.
+        factor with the free operands. Then like terms are collected in
+        each sum (:meth:`_collect`): a bound energy or eta runs one
+        contraction per distinct latent term and adds one constant. The
+        plan returned holds the values it still reads and runs only the
+        other inputs and steps, so later changes to the arrays in ``env``
+        are not seen.
         """
         now, later = copy.copy(self), copy.copy(self)
         known = [v is not None for v in self.initial]
@@ -659,11 +663,78 @@ class EvalPlan:
         now.outputs = range(len(known))
         values = now.run({name: np.array(env[name], dtype=np.float64)
                           for name, _, _ in now.inputs})
+        later._collect(known, values)
         reads = {a for _, args, _ in later.steps for a in args}
         reads.update(self.outputs)
         later.initial = [v if s in reads else None
                          for s, v in enumerate(values)]
         return later
+
+    def _collect(self, known, values):
+        """Collect like terms in each sum, a tree of add steps whose inner
+        sums have no other reader: its known leaves fold into one constant,
+        and its einsums read by it alone that agree up to their one known
+        operand and index names (:meth:`_term`) become one einsum of the
+        summed operands. A sum with nothing to collect keeps its steps."""
+        def new(value=None):
+            known.append(value is not None)
+            values.append(value)
+            return len(values) - 1
+
+        at = {step[2]: step for step in self.steps}
+        uses = collections.Counter(self.outputs)
+        uses.update(a for _, args, _ in self.steps for a in args)
+        adds = {s for s, step in at.items() if step[0] is operator.add}
+        inner = {a for s in adds for a in at[s][1]
+                 if a in adds and uses[a] == 1}
+        steps, gone = [], set()
+        for step in self.steps:
+            steps.append(step)
+            if step[2] not in adds or step[2] in inner:
+                continue
+            tree, consts, terms = [step], [], {}
+            for _, args, _ in tree:  # grows while it is read
+                for a in args:
+                    if a in inner:
+                        tree.append(at[a])
+                    elif known[a]:
+                        consts.append(values[a])
+                    else:
+                        key = uses[a] == 1 and a in self.einsums \
+                            and self._term(at[a], known)
+                        terms.setdefault(key or len(terms), []).append(a)
+            if len(consts) < 2 and all(len(m) == 1 for m in terms.values()):
+                continue
+            gone.update(map(id, tree))
+            slots = [new(sum(consts))] if consts else []
+            for key, members in terms.items():
+                if len(members) > 1:
+                    gone.update(id(at[m]) for m in members)
+                    factor = new(sum([values[a] for m in members
+                                      for a in at[m][1] if known[a]]))
+                    members = [step[2] if len(terms) == 1 and not consts
+                               else new()]
+                    steps.append(self._einsum(((*key[1], factor), *key[2]),
+                                              key[0], members[0]))
+                slots.append(members[0])
+            for i, b in enumerate(slots[1:], 2):
+                out = step[2] if i == len(slots) else new()
+                steps.append((operator.add, (slots[0], b), out))
+                slots[0] = out
+        self.steps = [step for step in steps if id(step) not in gone]
+
+    def _term(self, step, known):
+        """An einsum step as (output, its known operand's (subscript,
+        shape), the others' (subscript, shape, slot)), indices renamed in
+        order of use from the known operand on; False if none is known."""
+        spec, shapes = self.einsums[step[2]]
+        ops = sorted(zip(spec.operand_subscripts, shapes, step[1]),
+                     key=lambda op: not known[op[2]])
+        names = "".join(dict.fromkeys("".join([op[0] for op in ops])))
+        table = str.maketrans(names, INDEX_ALPHABET[:len(names)])
+        ops = [(sub.translate(table), shape, a) for sub, shape, a in ops]
+        return known[ops[0][2]] and (spec.output.translate(table), ops[0][:2],
+                                     tuple(ops[1:]))
 
     def _split(self, slot, args, known):
         """The einsum at ``slot`` as two steps: one that contracts its

@@ -13,9 +13,13 @@ given a seed. Trace sinks receive ``iter<TAB>value`` lines.
 A state reads its ``data`` once, when it is made: it binds each block's
 eta plan and the log joint's (Gibbs) or energy's (mean field) plan to the
 data (:meth:`graph.EvalPlan.bind`), so a sweep or an update runs only the
-steps that read a latent. Replacing ``data`` with a new mapping
+steps that read a latent, with like terms collected: one contraction per
+distinct latent term. Replacing ``data`` with a new mapping
 (``dataclasses.replace(state, data=...)``) binds the plans again; arrays
-changed in place after binding are not seen.
+changed in place after binding are not seen. Each block's distribution is
+checked, and a multivariate normal's precision factored, once per draw or
+update; a mean-field state keeps the distributions, so :func:`elbo` reads
+each log normalizer from the factor the update made.
 """
 
 from __future__ import annotations
@@ -128,11 +132,11 @@ def run_gibbs(log_joint, state: GibbsState, max_iters, sink=None):
 
 @dataclass(frozen=True)
 class MeanFieldState:
-    """Each block's natural and mean parameters, with the blocks' eta plans
-    and the energy's plan bound to ``data``."""
+    """Each block's :class:`Distribution` and mean parameters, with the
+    blocks' eta plans and the energy's plan bound to ``data``."""
     mrepr: MultilinearRepr
     data: dict
-    nat: dict
+    dists: dict
     means: dict
     iteration: int = 0
     plans: _Plans | None = field(default=None, repr=False, compare=False)
@@ -141,6 +145,11 @@ class MeanFieldState:
         if self.plans is None or self.plans.data is not self.data:
             object.__setattr__(self, "plans", _Plans.bind(
                 self.data, self.mrepr.blocks, self.mrepr.neg_energy))
+
+    @property
+    def nat(self):
+        """Each block's natural parameters."""
+        return {v: d.nat for v, d in self.dists.items()}
 
 
 def init_meanfield(mrepr: MultilinearRepr, data, init_values=None
@@ -158,14 +167,13 @@ def init_meanfield(mrepr: MultilinearRepr, data, init_values=None
                 s.descriptor: np.zeros(s.shape) for s in blk.stats}
     data = dict(data)
     plans = _Plans.bind(data, mrepr.blocks, mrepr.neg_energy)
-    nat, means = {}, {}
+    dists, means = {}, {}
     for blk in mrepr.blocks:
         others = {v: t for v, t in seed_stats.items() if v != blk.name}
-        dist = blk.distribution(mrepr.energy_env(others, {}),
-                                plans.etas[blk.name])
-        nat[blk.name] = dist.nat
+        dists[blk.name] = dist = blk.distribution(
+            mrepr.energy_env(others, {}), plans.etas[blk.name])
         means[blk.name] = dist.mean_params()
-    return MeanFieldState(mrepr=mrepr, data=data, nat=nat, means=means,
+    return MeanFieldState(mrepr=mrepr, data=data, dists=dists, means=means,
                           plans=plans)
 
 
@@ -181,7 +189,7 @@ def cavi_update(state: MeanFieldState, var: str) -> MeanFieldState:
     except NaturalDomainError as exc:
         raise NaturalDomainError(
             f"update for {var!r} left the natural domain: {exc}") from exc
-    return replace(state, nat={**state.nat, var: dist.nat},
+    return replace(state, dists={**state.dists, var: dist},
                    means={**state.means, var: dist.mean_params()},
                    iteration=state.iteration + 1)
 
@@ -191,10 +199,9 @@ def elbo(state: MeanFieldState) -> float:
     env = state.mrepr.energy_env(state.means, {})
     total = float(state.plans.joint.run(env)[0])
     for blk in state.mrepr.blocks:
-        nat = state.nat[blk.name]
-        a = blk.family.log_normalizer(nat)
-        total += float(np.sum(a))
-        dot = blk.family.dot_nat_stats(nat, state.means[blk.name])
+        dist = state.dists[blk.name]
+        total += float(np.sum(dist.log_normalizer()))
+        dot = blk.family.dot_nat_stats(dist.nat, state.means[blk.name])
         total -= float(np.sum(dot))
     return total
 

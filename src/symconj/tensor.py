@@ -113,10 +113,13 @@ def einsum_kernel(spec: EinsumSpec, operand_shapes) -> Callable:
     that no later operand or the output needs, and goes to ``np.einsum``
     without path optimization. ``np.einsum_path`` is not used: on the
     small operands of the derived updates, numpy's path planning and
-    execution cost more than the contraction itself.
+    execution cost more than the contraction itself. An elementwise
+    product (``"a,a->a"``) runs as ``np.multiply``, with the same bits.
     """
     einsum_output_shape(spec, operand_shapes)
     subs, out = spec.operand_subscripts, spec.output
+    if subs == (out, out):
+        return np.multiply
     if len(subs) <= 2:
         return functools.partial(np.einsum, spec.formula, optimize=False)
     steps = []

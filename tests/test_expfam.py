@@ -109,6 +109,29 @@ class TestLogNormalizer:
             "identity": np.zeros(2),
             "outer": np.array([[-0.5, 0.0], [0.0, 0.5]])},
             "not positive definite", id="MultivariateNormal"),
+        # non-finite parameters, each accepted once and never sampled
+        pytest.param("Gamma", {"identity": -1.0, "log": np.inf},
+                     "must be finite", id="Gamma-inf-shape"),
+        pytest.param("Gamma", {"identity": -np.inf, "log": 0.0},
+                     "must be finite", id="Gamma-inf-rate"),
+        pytest.param("Beta", {"log": np.inf, "log1p_neg": 0.0},
+                     "must be finite", id="Beta-inf"),
+        pytest.param("Dirichlet", {"log": [0.0, np.inf, 2.0]},
+                     "must be finite", id="Dirichlet-inf"),
+        pytest.param("Normal", {"identity": 0.0, "square": -np.inf},
+                     "square-statistic parameter must be finite",
+                     id="Normal-square-inf"),
+        pytest.param("MultivariateNormal", {
+            "identity": np.array([0.0, np.nan]), "outer": -0.5 * np.eye(2)},
+            "must be finite", id="MultivariateNormal-nan-identity"),
+        pytest.param("MultivariateNormal", {
+            "identity": np.zeros(2),
+            "outer": np.array([[-0.5, np.nan], [np.nan, -0.5]])},
+            "must be finite", id="MultivariateNormal-nan-outer"),
+        pytest.param("MultivariateNormal", {
+            "identity": np.zeros(2),
+            "outer": -0.5 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])},
+            "numerically singular", id="MultivariateNormal-near-singular"),
     ])
     def test_domain_violation(self, name, nat, message):
         nat = {k: np.asarray(v, dtype=np.float64) for k, v in nat.items()}
@@ -264,6 +287,34 @@ class TestSamplers:
         se = 4.0 / np.sqrt(n)
         assert np.abs(cov - np.eye(2)).max() < 3 * se + 1e-3
         assert np.abs(draws.mean(axis=0)).max() < 3 / np.sqrt(n)
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_mvn_draws_match_the_precision(self, batch):
+        """Draws are the mean plus L^-T eps, L the Cholesky factor of the
+        precision: their mean and covariance lie within 4 standard errors
+        of Lambda^-1 eta1 and Lambda^-1, for one Lambda and for a batch."""
+        fam = REG.get("MultivariateNormal")
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(batch + (3, 3))
+        cov = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(3)
+        mean = rng.standard_normal(batch + (3,))
+        nat = fam.from_standard(mean=mean, cov=cov)
+        n = 20000
+        if batch:
+            many = {k: np.broadcast_to(v, (n,) + v.shape).copy()
+                    for k, v in nat.items()}
+            draws = fam.sample(many, np.random.default_rng(5))
+        else:
+            dist = E.Distribution(fam, nat)
+            rng = np.random.default_rng(5)
+            draws = np.array([dist.sample(rng) for _ in range(n)])
+        var = np.diagonal(cov, axis1=-2, axis2=-1)
+        assert np.all(np.abs(draws.mean(axis=0) - mean)
+                      <= 4 * np.sqrt(var / n))
+        centred = draws - mean
+        got = np.einsum("n...i,n...j->...ij", centred, centred) / n
+        se = np.sqrt((var[..., :, None] * var[..., None, :] + cov ** 2) / n)
+        assert np.all(np.abs(got - cov) <= 4 * se)
 
     def test_near_degenerate_categorical(self):
         fam = REG.get("Categorical")

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from symconj import graph as G
 from symconj.conjugacy import marginalize, multilinear_repr
 from symconj.errors import GraphError, NumericDomainError
-from symconj.expfam import SupportType
+from symconj.expfam import BUILTIN, Distribution, SupportType
 from symconj.inference import (
     cavi_update, elbo, gibbs_sweep, init_meanfield, make_gibbs, run_cavi,
     run_gibbs,
@@ -238,7 +239,119 @@ REFERENCE = ("beta_bernoulli", "normal_gamma", "logistic_jj", "kalman",
              "factor_analysis", "gmm")
 
 
+def reference_plans(name):
+    """A fixture's Gibbs state and mean-field state, made from its
+    example values, with its graph, data and multilinear representation."""
+    fx = fixture(name)
+    g, data, init = split(fx)
+    mrepr = multilinear_repr(g, argnums=[a for a, _ in fx.latents],
+                             supports=[s for _, s in fx.latents])
+    return (fx, g, data, mrepr, make_gibbs(g, fx.latents, init, data),
+            init_meanfield(mrepr, data, init_values=init))
+
+
+class TestRunPhaseWork:
+    """Work counts, not time: the steps of each bound plan, and the matrix
+    factorizations of the multivariate normal's closed forms."""
+
+    # per fixture: Gibbs eta steps per block, Gibbs joint steps, CAVI eta
+    # steps per block, CAVI energy steps
+    STEPS = {
+        "beta_bernoulli": ({"prob": 0}, 13, {"prob": 0}, 4),
+        "normal_gamma": ({"tau": 6, "beta": 3}, 33, {"tau": 6, "beta": 3}, 10),
+        "logistic_jj": ({"beta": 0}, 14, {"beta": 0}, 6),
+        "kalman": ({"xt": 2, "xtt": 2}, 20, {"xt": 2, "xtt": 2}, 10),
+        "factor_analysis": ({"w": 2, "z": 2, "tau": 4}, 26,
+                            {"w": 4, "z": 4, "tau": 4}, 12),
+        "gmm": ({"pi": 3, "z": 11, "mu": 4, "tau": 9}, 32,
+                {"pi": 2, "z": 9, "mu": 3, "tau": 8}, 18),
+    }
+
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_bound_plan_steps_are_pinned(self, name):
+        *_, gibbs, cavi = reference_plans(name)
+        steps = ({v: len(p.steps) for v, p in gibbs.plans.etas.items()},
+                 len(gibbs.plans.joint.steps),
+                 {v: len(p.steps) for v, p in cavi.plans.etas.items()},
+                 len(cavi.plans.joint.steps))
+        assert steps == self.STEPS[name]
+
+    def test_beta_bernoulli_energy_is_one_contraction_per_statistic(self):
+        *_, cavi = reference_plans("beta_bernoulli")
+        plan = cavi.plans.joint
+        assert len(plan.steps) <= 4
+        assert sum(slot in plan.einsums for _, _, slot in plan.steps) == 2
+
+    @staticmethod
+    def factorizations(monkeypatch):
+        counts = Counter()
+        for fn in ("cholesky", "inv", "slogdet"):
+            def counted(*args, _fn=fn, _real=getattr(np.linalg, fn)):
+                counts[_fn] += 1
+                return _real(*args)
+            monkeypatch.setattr(np.linalg, fn, counted)
+        return counts
+
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_an_mvn_distribution_factors_its_precision_once(
+            self, monkeypatch, batch):
+        fam = BUILTIN.get("MultivariateNormal")
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(batch + (3, 3))
+        nat = fam.from_standard(mean=rng.standard_normal(batch + (3,)),
+                                cov=a @ np.swapaxes(a, -1, -2) + np.eye(3))
+        counts = self.factorizations(monkeypatch)
+        dist = Distribution(fam, nat)
+        dist.sample(rng)
+        dist.mean_params()
+        dist.log_normalizer()
+        dist.standard()
+        assert counts == {"cholesky": 1}
+
+    def test_sweeps_and_updates_factor_each_mvn_block_once(
+            self, monkeypatch):
+        _, g, _, mrepr, gibbs, cavi = reference_plans("factor_analysis")
+        mvn = sum(b.family.name == "MultivariateNormal"
+                  for b in mrepr.blocks)
+        assert mvn == 2
+        counts = self.factorizations(monkeypatch)
+        run_gibbs(g, gibbs, 1)
+        assert counts == {"cholesky": mvn}
+        counts.clear()
+        for blk in mrepr.blocks:
+            cavi = cavi_update(cavi, blk.name)
+        assert counts == {"cholesky": mvn}
+        counts.clear()
+        elbo(cavi)  # reads the log normalizers from the updates' factors
+        assert counts == {}
+
+
 class TestBoundData:
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_bound_plans_match_unbound_plans(self, name):
+        """Binding folds data and collects like terms, which reorders sums:
+        at three seeded latent points each bound plan gives its unbound
+        plan's values to 1e-13 relative."""
+        fx, g, data, mrepr, gibbs, cavi = reference_plans(name)
+        for seed in (1, 2, 3):
+            args = fx.example_args(seed)
+            point = {v: args[v] for v in gibbs.order}
+            stats = {b.name: b.statistic_values(point[b.name])
+                     for b in mrepr.blocks}
+            cases = [(gibbs.plans.joint, g.plan(), point),
+                     (cavi.plans.joint, mrepr.neg_energy.plan(),
+                      mrepr.energy_env(stats, {}))]
+            cases += [(gibbs.plans.etas[v], f.block.eta_plan, point)
+                      for v, f in gibbs.factories.items()]
+            cases += [(cavi.plans.etas[b.name], b.eta_plan,
+                       mrepr.energy_env(stats, {})) for b in mrepr.blocks]
+            for bound, plan, env in cases:
+                wants = plan.run({**data, **env})
+                for got, want in zip(bound.run(env), wants):
+                    scale = max(1.0, float(np.max(np.abs(want))))
+                    assert np.max(np.abs(got - want)) <= 1e-13 * scale, (
+                        name, seed)
+
     def test_data_only_steps_run_once_when_the_chain_is_made(
             self, monkeypatch):
         steps_run = []
@@ -306,7 +419,7 @@ class TestBoundData:
         new = dict(data, xi=jj_xi_update(m["identity"], m["outer"], data["x"]))
         replaced = replace(state, data=new)
         fresh = replace(init_meanfield(mrepr, new, init_values=init),
-                        nat=state.nat, means=state.means)
+                        dists=state.dists, means=state.means)
         assert elbo(replaced) == elbo(fresh) != elbo(state)
         replaced, fresh = (cavi_update(s, "beta") for s in (replaced, fresh))
         for d in ("identity", "outer"):

@@ -24,6 +24,18 @@ class TestEinsum:
         want = naive_einsum("ij,jk->ik", [a, b])
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("formula, shape", [
+        (",->", ()), ("a,a->a", (4,)), ("ab,ab->ab", (2, 3))])
+    def test_elementwise_products_run_as_multiply(self, formula, shape):
+        kernel = T.einsum_kernel(T.EinsumSpec(formula), (shape, shape))
+        assert kernel is np.multiply
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+            got, want = kernel(a, b), np.einsum(formula, a, b)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("trial", range(30))
     def test_random_formulas_match_loop_oracle(self, trial):
         rng = np.random.default_rng(trial)
