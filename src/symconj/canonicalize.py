@@ -7,9 +7,10 @@ The driver alternates two phases until a fixed point:
    with hash-consing: every polynomial primitive (subtract, multiply,
    divide, negate, square, integer powers, sum_axis, broadcast_to) is
    rewritten into einsum form, constants are folded, nested einsums are
-   merged flat, scalar factors sharing a base collect their exponents,
-   einsums multiply out their sum operands into sums of einsums, sums
-   collect like monomials (a scalar coefficient is set apart, so x - x
+   merged flat, the constant operands of a product contract into one,
+   scalar factors sharing a base collect their exponents, einsums
+   multiply out their sum operands into sums of einsums, sums collect
+   monomials that differ only in their constant by summing it (so x - x
    cancels), add-trees flatten into right-leaning chains ordered by
    structural hash, and einsum index names are canonically renamed. A
    product stays a factor list (:class:`_Mono`) until a non-einsum op
@@ -34,19 +35,23 @@ graph state stops the loop as a livelock.
 
 The log-splitting rules (log of a product/quotient/root) assume positive
 factors, which is the standing convention for the scale and probability
-quantities log densities are built from.
+quantities log densities are built from. Binding a model's data (:func:`bind`)
+is one more sweep, with the data in place of their inputs as constants.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter, deque
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph as G
-from .errors import CanonicalizationError, NonTerminationError, SymconjError
+from .errors import (
+    CanonicalizationError, GraphError, NonTerminationError, SymconjError,
+)
 from .graph import (
     ConstNode, GraphBuilder, InputNode, PrimNode, TermGraph, espec,
 )
@@ -54,7 +59,7 @@ from .pattern import Rule, apply_rule
 from .tensor import INDEX_ALPHABET
 
 __all__ = ["CanonicalForm", "canonicalize", "is_canonical", "monomials",
-           "local_simplify", "normalize_graph", "REGISTRY"]
+           "local_simplify", "normalize_graph", "bind", "REGISTRY"]
 
 # polynomial primitives: always eliminable in favor of einsum/add
 POLY_OPS = {"subtract", "multiply", "divide", "negate", "square",
@@ -153,13 +158,11 @@ class _Mono:
 
 
 class _LazySum:
-    """Deferred sum of leaves: non-constant monomials with real
-    multiplicities plus a folded constant, materialized on demand. A leaf
-    is keyed by its monomial without the scalar coefficient, which joins
-    the multiplicity, so ``x`` and ``-1 * x`` cancel: by the hash-cons key
-    of that monomial's node, or the node id of a lone factor. ``counts``
-    maps the key to ``(monomial, multiplicity, whole)`` in insertion
-    order, ``whole`` the known product with its coefficient or None."""
+    """Deferred sum of leaves plus a folded constant. A leaf is a
+    non-constant monomial with a constant factor (subscripts, value) in its
+    letters, keyed by the hash-cons key of the monomial less its constant
+    operand (a lone factor: its id), so like terms sum their factors.
+    ``counts`` maps the key to (monomial, factor, whole product or None)."""
 
     __slots__ = ("counts", "const", "shape")
 
@@ -168,26 +171,40 @@ class _LazySum:
         self.const = None
         self.shape = tuple(shape)
 
-    def add_leaf(self, key, h, k, whole=None):
+    def add_leaf(self, key, h, f, whole=None):
         old = self.counts.get(key)
         if old is not None:
-            h, k, whole = old[0], old[1] + k, None
-        if k == 0:
+            h, f, whole = old[0], _plus(old[1], f), None
+        if f[1] == 0 if f[0] == "" else not f[1].any():
             self.counts.pop(key, None)
         else:
-            self.counts[key] = (h, k, whole)
+            self.counts[key] = (h, f, whole)
 
-    def terms(self):
-        """(monomial, multiplicity) per leaf, the whole product if known."""
-        return [(h, k) if whole is None else (whole, 1.0)
-                for h, k, whole in self.counts.values()]
+
+def _plus(f1, f2):
+    """The sum of two constant factors, aligned by index name."""
+    if f1[0] == f2[0]:
+        return f1[0], f1[1] + f2[1]
+    sub = "".join(sorted(set(f1[0] + f2[0])))
+    return sub, sum(np.expand_dims(
+        np.einsum(f"{s}->{''.join(sorted(s))}", v),
+        [i for i, c in enumerate(sub) if c not in s]) for s, v in (f1, f2))
+
+
+@functools.lru_cache(maxsize=None)
+def _renamed(formula, sub):
+    """``formula`` renamed as :func:`graph.rename_formula` renames it, and
+    ``sub``, letters of it, under the same names."""
+    lhs, out = formula.split("->")
+    names = "".join(dict.fromkeys(out + lhs.replace(",", "")))
+    table = str.maketrans(names, INDEX_ALPHABET[:len(names)])
+    return formula.translate(table), sub.translate(table)
 
 
 class _Simplifier:
     def __init__(self, budget):
         self.gb = GraphBuilder()
         self.budget = budget
-        self._const_kind = {}  # nid -> (is_all_ones, is_any_zero_annihilator)
         self._rank = {}  # nid -> _order's key less the subscripts
 
     # -- small helpers ----------------------------------------------------
@@ -211,15 +228,6 @@ class _Simplifier:
 
     def const(self, v):
         return self.gb.constant(v)
-
-    def const_kind(self, h):
-        kind = self._const_kind.get(h.nid)
-        if kind is None:
-            v = self.cval(h)
-            kind = (v.shape != () and bool(np.all(v == 1.0)),
-                    bool(v.size) and not np.any(v))
-            self._const_kind[h.nid] = kind
-        return kind
 
     def einsum_parts(self, x):
         """(EinsumSpec, operand handles) of a product or einsum node."""
@@ -250,28 +258,46 @@ class _Simplifier:
         return None
 
     def add_leaf(self, lazy, x, k):
-        """lazy += k * x, for a handle or product x, with x's scalar
-        coefficient moved into k."""
-        whole, parts, c = x if k == 1 else None, self.einsum_parts(x), 1.0
+        """lazy += k * x, for a handle or product x, with x's constant
+        operand times k as the leaf's factor."""
+        whole, parts = x if k == 1 else None, self.einsum_parts(x)
         if parts is None:
-            return lazy.add_leaf(x.nid, x, k, whole)
+            return lazy.add_leaf(x.nid, x, ("", k), whole)
         spec, args = parts
-        rest = []
+        rest, f = [], ("", k)
         for subs, a in zip(spec.operand_subscripts, args):
-            if subs == "" and self.is_const(a):
-                c *= float(self.cval(a))
+            if self.is_const(a):  # the product's one constant
+                v = self.cval(a)
+                f = (subs, float(v) * k if subs == "" else v * k)
             else:
                 rest.append((subs, a))
+        formula, sub = _renamed(
+            ",".join([s for s, _ in rest]) + "->" + spec.output, f[0])
         if len(rest) == 1 and rest[0][0] == spec.output:
-            return lazy.add_leaf(rest[0][1].nid, rest[0][1], k * c, whole)
-        # constants sort first and the coefficient has no letters, so the
-        # rest keeps the product's order and canonical naming
-        formula = ",".join([s for s, _ in rest]) + "->" + spec.output
-        if not isinstance(x, _Mono):  # a node's may be spelled otherwise
-            formula = G.rename_formula(formula)
+            return lazy.add_leaf(rest[0][1].nid, rest[0][1], (sub, f[1]),
+                                 whole)
         args = tuple([a for _, a in rest])
         lazy.add_leaf(("einsum", (formula,), tuple([a.nid for a in args])),
-                      _Mono(formula, args, x.shape), k * c, whole)
+                      _Mono(formula, args, x.shape), (sub, f[1]), whole)
+
+    def _times(self, h, f):
+        """The product of leaf monomial ``h`` and its factor ``f``; ``h``'s
+        output may hold letters that only ``f`` holds."""
+        if not isinstance(h, _Mono):  # a lone factor
+            out = INDEX_ALPHABET[:len(h.shape)]
+            h = _Mono(out + "->" + out, (h,), h.shape)
+        lhs, out = h.formula.split("->")
+        ops = [*zip(lhs.split(","), h.args), (f[0], self.const(f[1]))]
+        if f[0] or f[1] == 1.0:  # a tensor, or no coefficient: the rule
+            return self._product(ops, out)
+        return self._sorted(ops, out, h.shape)  # h is a product already
+
+    def _sorted(self, ops, out, shape):
+        """The product of (subscripts, handle) operands, in deterministic
+        operand order and with canonical index names."""
+        ops.sort(key=self._order)
+        formula = G.rename_formula(",".join([s for s, _ in ops]) + "->" + out)
+        return _Mono(formula, tuple([a for _, a in ops]), shape)
 
     # -- elementwise/broadcast formula construction -----------------------
 
@@ -326,34 +352,20 @@ class _Simplifier:
 
     def _product(self, operands, out):
         """The einsum of (subscripts, factor) operands, none a product or
-        an einsum node, as emit_einsum returns it. Scalar constants fold
-        left to right; a zero, or an all-ones factor that :meth:`_fold`
-        would drop or slim, goes through it."""
+        an einsum node, as emit_einsum returns it. Its constant operands,
+        the scalar coefficient among them, contract into one constant over
+        the letters that the output or another operand reads: a zero
+        annihilates the product, and a uniform one is the coefficient,
+        held as ones only over output letters no other operand holds."""
         nodes = self.gb._nodes
-        extents, kept, coef, slow, ones = {}, [], 1.0, False, []
+        extents, kept, consts = {}, [], []
         for item in operands:
             subs, h = item
             node = None if type(h) is _LazySum else nodes[h.nid]
             if node is None or type(node) is PrimNode and node.op == "add":
                 return self._multiply_out(operands, out)
-            if type(node) is ConstNode:
-                is_ones, zero = self.const_kind(h)
-                if not (is_ones or zero or subs):
-                    coef *= float(node.value)
-                    continue
-                slow = slow or zero
-                ones += [item] * is_ones
             extents.update(zip(subs, h.shape))
-            kept.append(item)
-        if ones and not slow:  # a repeated factor, or a letter held alone
-            held = Counter(c for s, _ in kept for c in set(s))
-            slow = len({(s, h.nid) for s, h in ones}) < len(ones) or any(
-                c not in out and held[c] < 2 for s, _ in ones for c in s)
-        if slow:
-            kept = self._fold(operands, out, extents)
-            if not isinstance(kept, list):
-                return kept
-            coef, kept = kept[0], kept[1:]
+            (consts if type(node) is ConstNode else kept).append(item)
         out_shape = tuple([extents[c] for c in out])
 
         # collect exponents of scalar factors sharing a base node; lone
@@ -373,62 +385,42 @@ class _Simplifier:
             # a collected base can be a sum or an einsum, as in
             # sqrt(a+b) * sqrt(a+b): emit again to multiply it out or merge it
             if any(self.op_of(h) in ("add", "einsum") for _, h in kept):
-                if coef != 1.0:
-                    kept.append(("", self.const(coef)))
+                kept += consts
                 return self.emit_einsum(",".join([s for s, _ in kept])
                                         + "->" + out, [h for _, h in kept])
 
-        if all(type(nodes[h.nid]) is ConstNode for _, h in kept):
-            return self.const(coef * G._eval_prim(
-                "einsum", (",".join([s for s, _ in kept]) + "->" + out,),
-                [self.cval(h) for _, h in kept]) if kept
-                else np.full(out_shape, coef))
-        if coef != 1.0:
-            kept.append(("", self.const(coef)))
+        if not kept:
+            return self.const(self._contract(consts, out) if consts
+                              else np.ones(out_shape))
+        sub, v = "", 1.0
+        if any(s for s, _ in consts):
+            held = set(out).union(*[s for s, _ in kept])
+            sub = "".join(dict.fromkeys(
+                [c for s, _ in consts for c in s if c in held]))
+            v = self._contract(consts, sub)
+            if v.size and (v == v.flat[0]).all():  # coefficient and ones
+                held = set().union(*[s for s, _ in kept])
+                sub = "".join([c for c in sub if c not in held])
+                v = np.full([extents[c] for c in sub], v.flat[0])
+        else:
+            for _, h in consts:
+                v *= float(nodes[h.nid].value)
+        if not (v.any() if sub else v):
+            return self.const(np.zeros(out_shape))
+        if sub or v != 1.0:
+            kept.append((sub, self.const(v)))
         if len(kept) == 1 and kept[0][0] == out:
             return kept[0][1]  # identity contraction unwraps
-        # deterministic operand order, then canonical index renaming
-        kept.sort(key=self._order)
-        return _Mono(G.rename_formula(",".join([s for s, _ in kept])
-                                      + "->" + out),
-                     tuple([h for _, h in kept]), out_shape)
+        return self._sorted(kept, out, out_shape)
 
-    def _fold(self, operands, out, extents):
-        """[coefficient, *kept operands], constants folded left to right:
-        scalars multiply in, all-ones factors fold or slim down, and a
-        zero annihilates (then the zeros constant is returned)."""
-        kinds = [self.const_kind(h) if self.is_const(h) else None
-                 for _, h in operands]
-        # duplicate copies of one all-ones factor multiply to itself
-        deduped, seen_ones = [], set()
-        for (subs, h), kind in zip(operands, kinds):
-            if kind is not None and kind[0]:
-                if (subs, h.nid) in seen_ones:
-                    continue
-                seen_ones.add((subs, h.nid))
-            deduped.append((subs, h, kind))
-        kept = [1.0]
-        for j, (subs, h, kind) in enumerate(deduped):
-            if kind is None or not (subs == "" or kind[0] or kind[1]):
-                kept.append((subs, h))
-            elif kind[1]:
-                return self.const(np.zeros([extents[c] for c in out]))
-            elif subs == "":
-                kept[0] *= float(self.cval(h))
-            else:
-                elsewhere = set(out).union(*(
-                    s2 for j2, (s2, _, _) in enumerate(deduped) if j2 != j))
-                for c in dict.fromkeys(subs):
-                    if c not in elsewhere:
-                        kept[0] *= extents[c]
-                needed = "".join(c for c in dict.fromkeys(subs)
-                                 if c in elsewhere)
-                if needed == subs:  # nothing to slim: the factor itself
-                    kept.append((subs, h))
-                elif needed:
-                    kept.append((needed, self.const(
-                        np.ones([extents[c] for c in needed]))))
-        return kept
+    def _contract(self, consts, sub):
+        """The (subscripts, handle) constants contracted to ``sub``."""
+        if [s for s, _ in consts if s] == [sub]:  # scalars scale a tensor
+            return math.prod([float(self.cval(h)) for s, h in consts if not s],
+                             start=next(self.cval(h) for s, h in consts if s))
+        return G._eval_prim("einsum", (",".join([s for s, _ in consts])
+                                       + "->" + sub,),
+                            [self.cval(h) for _, h in consts])
 
     def _multiply_out(self, operands, out):
         """Distribute an einsum over its sum operands. The other operands
@@ -486,9 +478,13 @@ class _Simplifier:
         return acc
 
     def _leaves(self, lazy):
-        """(monomial, multiplicity) terms of a sum, each at the sum's
-        shape."""
-        terms = [(self.broadcast(h, lazy.shape), k) for h, k in lazy.terms()]
+        """(monomial, multiplicity) terms of a sum, each at the sum's shape:
+        per leaf, its whole product if known, else its monomial and scalar
+        factor, or its product with a tensor factor."""
+        terms = [(self.broadcast(h, lazy.shape), k) for h, k in [
+            (whole, 1.0) if whole is not None else (h, f[1]) if f[0] == ""
+            else (self._times(h, f), 1.0)
+            for h, f, whole in lazy.counts.values()]]
         if lazy.const is not None and np.any(lazy.const):
             terms.append(
                 (self.const(np.broadcast_to(lazy.const, lazy.shape)), 1))
@@ -558,8 +554,9 @@ class _Simplifier:
         parts = [(c, self._as_lazy(x)) for c, x in parts]
         out = _LazySum(np.broadcast_shapes(*(x.shape for _, x in parts)))
         for c, x in parts:
-            for key, (h, k, whole) in x.counts.items():
-                out.add_leaf(key, h, c * k, whole if c == 1.0 else None)
+            for key, (h, f, whole) in x.counts.items():
+                out.add_leaf(key, h, f if c == 1.0 else (f[0], c * f[1]),
+                             whole if c == 1.0 else None)
             if x.const is not None:
                 v = x.const if c == 1.0 else c * x.const
                 out.const = v if out.const is None else out.const + v
@@ -573,8 +570,9 @@ class _Simplifier:
             return self.gb.prim("einsum", x.args, (x.formula,))
         if not isinstance(x, _LazySum):
             return x
-        terms = [self.realize(h) if k == 1.0 else self._scaled(h, k)
-                 for h, k in x.terms()]
+        terms = [self.realize(whole if whole is not None
+                              else self._times(h, f))
+                 for h, f, whole in x.counts.values()]
         if x.const is not None and np.any(x.const):
             terms.append(self.const(x.const))
         if not terms:
@@ -587,17 +585,6 @@ class _Simplifier:
             if tuple(acc.shape) != x.shape:  # broadcasting multiplies out
                 acc = self.realize(self.broadcast(acc, x.shape))
         return acc
-
-    def _scaled(self, h, k):
-        """The node of k * h, h a monomial without coefficient, as
-        emit_einsum orders it: h in canonical letters sorted with k."""
-        parts = self.einsum_parts(h)
-        spec = espec(G.rename_formula(parts[0].formula) if parts
-                     else "->".join([INDEX_ALPHABET[:len(h.shape)]] * 2))
-        ops = sorted([*zip(spec.operand_subscripts, parts[1] if parts else [h]),
-                      ("", self.const(float(k)))], key=self._order)
-        return self.gb.prim("einsum", [a for _, a in ops], (G.rename_formula(
-            ",".join([s for s, _ in ops]) + "->" + spec.output),))
 
     # -- per-node emission -------------------------------------------------
 
@@ -664,9 +651,11 @@ def local_simplify(g: TermGraph, budget: _Budget | None = None) -> TermGraph:
     return G.cse(s.gb.finish(_sweep(s, g, memo)))
 
 
-def _sweep(s, g, memo, plus=()):
+def _sweep(s, g, memo, plus=(), fold_only=False):
     """Emit via ``s`` the nodes of ``g`` its output reaches and ``memo`` (id
-    -> handle) lacks; return the output plus the pairs ``plus``, realized."""
+    -> handle) lacks; return the output plus the pairs ``plus``, realized.
+    When ``fold_only``, only an einsum with two or more constant operands
+    is emitted, so they contract; other nodes are folded or copied."""
     reach = g.reachable()
     try:
         for i, node in enumerate(g.nodes):
@@ -674,9 +663,14 @@ def _sweep(s, g, memo, plus=()):
                 continue
             if isinstance(node, ConstNode):
                 memo[i] = s.const(node.value)
-            else:
+            elif not fold_only or node.op == "einsum" and sum(
+                    s.is_const(memo[a]) for a in node.args) > 1:
                 memo[i] = s.emit(node.op, node.attrs,
                                  [memo[a] for a in node.args])
+            else:  # copied or folded, so its operands are nodes
+                args = [s.realize(memo[a]) for a in node.args]
+                memo[i] = (s._try_fold(node.op, node.attrs, args)
+                           or s.gb.prim(node.op, args, node.attrs))
         i = g.output
         out = memo[i]
         return s.realize(s.lazy_sum((1.0, out), *plus) if plus else out)
@@ -684,6 +678,30 @@ def _sweep(s, g, memo, plus=()):
         raise CanonicalizationError(
             f"the einsum form of {G.render(g, i)} needs {exc.args[0]} "
             f"index letters; there are {len(INDEX_ALPHABET)}") from None
+
+
+def bind(graphs, env, fold_only=False) -> G.EvalPlan:
+    """One plan of ``graphs`` with the inputs named in ``env`` bound for
+    good: checked copies of their values stand in as constants, and one
+    sweep (:func:`_sweep`) folds what they decide, contracts each
+    product's constants and collects the terms that differ only in their
+    constant (not with ``fold_only``, so a graph with no einsum keeps its
+    bits). A fold that failed raises in :meth:`graph.EvalPlan.bind`.
+    Later changes to the arrays in ``env`` are not seen."""
+    s, handles = _Simplifier(_Budget(10000)), {}
+    for node in {g.nodes[i].name: g.nodes[i]
+                 for g in graphs for i in g.inputs}.values():
+        if node.name not in env:
+            handles[node.name] = s.gb.input(**vars(node))
+            continue
+        v = np.array(env[node.name], dtype=np.float64)
+        if v.shape != node.shape:
+            raise GraphError(f"input {node.name!r} expects shape "
+                             f"{node.shape}, got {v.shape}")
+        handles[node.name] = s.const(v)
+    return G.EvalPlan([s.gb.finish(_sweep(
+        s, g, {i: handles[g.nodes[i].name] for i in g.inputs},
+        fold_only=fold_only)) for g in graphs]).bind({})
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,9 @@ def _analyze(log_joint, argnums, supports, whole=False) -> MultilinearRepr:
     """The one conjugacy analysis behind the three transforms: canonicalize
     once per graph object, walk the monomials holding a target (all of them
     when ``whole``) once to put inputs in place of the targets' statistics,
-    match each target's family, then read its etas off that energy. Each
-    call checks its arguments; a one-target analysis is kept on the graph."""
+    match each target's family, then read its etas off that energy, and
+    refuse a family the model lacks a required statistic of. Each call
+    checks its arguments; a one-target analysis is kept on the graph."""
     names = log_joint.input_names
     if ((np.ndim(argnums), np.ndim(supports)) != (1, 1)
             or len(argnums) != len(supports)):
@@ -350,6 +351,12 @@ def _analyze(log_joint, argnums, supports, whole=False) -> MultilinearRepr:
     blocks = []
     for (var, _), stats, family in zip(targets, found, families):
         etas = extract_natural_parameters(energy, stats, found)
+        missing = sorted(family.requires - stats.descriptors)
+        if missing:
+            raise UnknownFamilyError(
+                f"variable {var!r} matches {family.name}, but the model "
+                f"holds no {missing[0]} statistic of it, so its conditional "
+                f"is never proper", atoms=missing)
         blocks.append(LatentBlock(
             name=var, family=family, stats=tuple(StatEntry(
                 descriptor=d, input_name=_stat_input_name(var, d),

@@ -55,9 +55,9 @@ class ConjugacyError(SymconjError):
 
 
 class UnknownFamilyError(ConjugacyError):
-    """Discovered sufficient statistics match no registered family.
-    ``atoms`` names the offenders: the rendered atoms no statistic shape
-    matched, or the statistic descriptors no family accepts."""
+    """Discovered statistics match no registered family, or one only without
+    a statistic it needs to be proper. ``atoms`` names the offenders: the
+    rendered atoms no statistic matched, or the descriptors at fault."""
 
     def __init__(self, message, atoms=()):
         super().__init__(message)

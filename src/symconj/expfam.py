@@ -222,6 +222,7 @@ class FamilySpec:
     name: str = ""
     support: SupportType
     signature: frozenset
+    requires: frozenset = frozenset()  # statistics no proper member lacks
 
     @property
     def accepts(self) -> frozenset:
@@ -264,10 +265,11 @@ class FamilySpec:
             total = term if total is None else total + term
         return total
 
-    def log_prob(self, nat: dict, value) -> np.ndarray:
+    def log_prob(self, nat: dict, value, *factor) -> np.ndarray:
         self.check_support(value)
         stats = self.statistic_values(value)
-        return self.dot_nat_stats(nat, stats) - self.log_normalizer(nat)
+        return (self.dot_nat_stats(nat, stats)
+                - self.log_normalizer(nat, *factor))
 
     def check_support(self, value) -> None:
         test, must = _SUPPORT_CHECKS[self.support]
@@ -279,8 +281,8 @@ class FamilySpec:
         discovered natural-parameter graphs: the closed form on values."""
         return G.sum_all(self.log_normalizer(self.pad_nat(etas)))
 
-    def describe(self, nat: dict) -> str:
-        std = self.to_standard(nat)
+    def describe(self, nat: dict, *factor) -> str:
+        std = self.to_standard(nat, *factor)
         inner = ", ".join(f"{k}={_fmt(v)}" for k, v in std.items())
         return f"{self.name}({inner})"
 
@@ -410,6 +412,7 @@ class GammaFamily(FamilySpec):
     name = "Gamma"
     support = SupportType.NONNEGATIVE
     signature = frozenset({"identity", "log"})
+    requires = frozenset({"identity"})
 
     def check_domain(self, nat):
         rate, shape = nat["identity"], nat["log"]
@@ -478,6 +481,7 @@ class NormalFamily(FamilySpec):
     name = "Normal"
     support = SupportType.REAL
     signature = frozenset({"identity", "square"})
+    requires = frozenset({"square"})
 
     def check_domain(self, nat):
         square = nat["square"]
@@ -532,6 +536,7 @@ class MultivariateNormalFamily(FamilySpec):
     support = SupportType.REAL
     signature = frozenset({"identity", "outer"})
     accepts = frozenset({"identity", "square", "outer"})
+    requires = frozenset({"outer"})
 
     def batch_shape(self, nat):
         return nat["outer"].shape[:-2]
@@ -718,10 +723,10 @@ class Distribution:
         return self.family.sample(self.nat, rng, *self.factor)
 
     def log_prob(self, value):
-        return self.family.log_prob(self.nat, value)
+        return self.family.log_prob(self.nat, value, *self.factor)
 
     def standard(self):
         return self.family.to_standard(self.nat, *self.factor)
 
     def describe(self):
-        return self.family.describe(self.nat)
+        return self.family.describe(self.nat, *self.factor)

@@ -32,7 +32,6 @@ operations here are pure: they return new graphs and never mutate.
 
 from __future__ import annotations
 
-import collections
 import copy
 import functools
 import hashlib
@@ -597,7 +596,8 @@ class EvalPlan:
                 slot = slot_of.get(hashes[i])
                 if slot is None:
                     slot = slot_of[hashes[i]] = len(self.initial)
-                    self.initial.append(node.value if isinstance(
+                    # rank 0 as a numpy scalar: operator kernels run faster
+                    self.initial.append(node.value[()] if isinstance(
                         node, ConstNode) else None)
                     if isinstance(node, InputNode):
                         self.inputs.append((node.name, node.shape, slot))
@@ -633,16 +633,10 @@ class EvalPlan:
 
         Copies of their values are checked here, by name and shape, and
         every step whose operands are all bound or constant runs here,
-        once, with its kernel's checks. An einsum that reads two or more
-        such operands and a free one is split: the bound operands are
-        contracted here, over every index that neither a free operand nor
-        the output reads, and the plan keeps the contraction of that one
-        factor with the free operands. Then like terms are collected in
-        each sum (:meth:`_collect`): a bound energy or eta runs one
-        contraction per distinct latent term and adds one constant. The
-        plan returned holds the values it still reads and runs only the
-        other inputs and steps, so later changes to the arrays in ``env``
-        are not seen.
+        once, with its kernel's checks. The plan returned holds the values
+        it still reads and runs only the other inputs and steps, each as
+        this plan runs it, so its values are this plan's, bit for bit;
+        later changes to the arrays in ``env`` are not seen.
         """
         now, later = copy.copy(self), copy.copy(self)
         known = [v is not None for v in self.initial]
@@ -650,116 +644,18 @@ class EvalPlan:
         for name, shape, slot in self.inputs:
             known[slot] = name in env
             (now if known[slot] else later).inputs.append((name, shape, slot))
-        now.steps, later.steps, later.einsums = [], [], dict(self.einsums)
+        now.steps, later.steps = [], []
         for step in self.steps:
-            args, slot = step[1:]
-            known[slot] = all([known[a] for a in args])
-            if not known[slot] and slot in self.einsums \
-                    and sum([known[a] for a in args]) >= 2:
-                first, step = later._split(slot, args, known)
-                now.steps.append(first)
-            (now if known[slot] else later).steps.append(step)
-        now.initial = self.initial + [None] * (len(known) - len(self.initial))
+            known[step[2]] = all([known[a] for a in step[1]])
+            (now if known[step[2]] else later).steps.append(step)
         now.outputs = range(len(known))
         values = now.run({name: np.array(env[name], dtype=np.float64)
                           for name, _, _ in now.inputs})
-        later._collect(known, values)
         reads = {a for _, args, _ in later.steps for a in args}
         reads.update(self.outputs)
         later.initial = [v if s in reads else None
                          for s, v in enumerate(values)]
         return later
-
-    def _collect(self, known, values):
-        """Collect like terms in each sum, a tree of add steps whose inner
-        sums have no other reader: its known leaves fold into one constant,
-        and its einsums read by it alone that agree up to their one known
-        operand and index names (:meth:`_term`) become one einsum of the
-        summed operands. A sum with nothing to collect keeps its steps."""
-        def new(value=None):
-            known.append(value is not None)
-            values.append(value)
-            return len(values) - 1
-
-        at = {step[2]: step for step in self.steps}
-        uses = collections.Counter(self.outputs)
-        uses.update(a for _, args, _ in self.steps for a in args)
-        adds = {s for s, step in at.items() if step[0] is operator.add}
-        inner = {a for s in adds for a in at[s][1]
-                 if a in adds and uses[a] == 1}
-        steps, gone = [], set()
-        for step in self.steps:
-            steps.append(step)
-            if step[2] not in adds or step[2] in inner:
-                continue
-            tree, consts, terms = [step], [], {}
-            for _, args, _ in tree:  # grows while it is read
-                for a in args:
-                    if a in inner:
-                        tree.append(at[a])
-                    elif known[a]:
-                        consts.append(values[a])
-                    else:
-                        key = uses[a] == 1 and a in self.einsums \
-                            and self._term(at[a], known)
-                        terms.setdefault(key or len(terms), []).append(a)
-            if len(consts) < 2 and all(len(m) == 1 for m in terms.values()):
-                continue
-            gone.update(map(id, tree))
-            slots = [new(sum(consts))] if consts else []
-            for key, members in terms.items():
-                if len(members) > 1:
-                    gone.update(id(at[m]) for m in members)
-                    factor = new(sum([values[a] for m in members
-                                      for a in at[m][1] if known[a]]))
-                    members = [step[2] if len(terms) == 1 and not consts
-                               else new()]
-                    steps.append(self._einsum(((*key[1], factor), *key[2]),
-                                              key[0], members[0]))
-                slots.append(members[0])
-            for i, b in enumerate(slots[1:], 2):
-                out = step[2] if i == len(slots) else new()
-                steps.append((operator.add, (slots[0], b), out))
-                slots[0] = out
-        self.steps = [step for step in steps if id(step) not in gone]
-
-    def _term(self, step, known):
-        """An einsum step as (output, its known operand's (subscript,
-        shape), the others' (subscript, shape, slot)), indices renamed in
-        order of use from the known operand on; False if none is known."""
-        spec, shapes = self.einsums[step[2]]
-        ops = sorted(zip(spec.operand_subscripts, shapes, step[1]),
-                     key=lambda op: not known[op[2]])
-        names = "".join(dict.fromkeys("".join([op[0] for op in ops])))
-        table = str.maketrans(names, INDEX_ALPHABET[:len(names)])
-        ops = [(sub.translate(table), shape, a) for sub, shape, a in ops]
-        return known[ops[0][2]] and (spec.output.translate(table), ops[0][:2],
-                                     tuple(ops[1:]))
-
-    def _split(self, slot, args, known):
-        """The einsum at ``slot`` as two steps: one that contracts its
-        known operands into a new known slot, keeping the indices that
-        its other operands or output read, and one that contracts that
-        factor with the others in ``slot``."""
-        spec, shapes = self.einsums[slot]
-        ops = list(zip(spec.operand_subscripts, shapes, args))
-        held = [op for op in ops if known[op[2]]]
-        free = [op for op in ops if not known[op[2]]]
-        kept = set(spec.output).union(*[s for s, _, _ in free])
-        sub = "".join(dict.fromkeys(
-            [c for s, _, _ in held for c in s if c in kept]))
-        extent = dict(zip("".join(spec.operand_subscripts), sum(shapes, ())))
-        factor = (sub, tuple([extent[c] for c in sub]), len(known))
-        known.append(True)
-        return (self._einsum(held, sub, factor[2]),
-                self._einsum([factor] + free, spec.output, slot))
-
-    def _einsum(self, operands, out, slot):
-        """An einsum step over ``(subscript, shape, slot)`` operands."""
-        subs, shapes, args = zip(*operands)
-        spec = espec(",".join(subs) + "->" + out)
-        self.einsums[slot] = (spec, shapes)
-        return tensor.einsum_kernel(spec, shapes), args, slot
 
 
 def evaluate(g: TermGraph, env: dict) -> np.ndarray:

@@ -10,11 +10,13 @@ other factors, which can only increase the evidence lower bound.
 Both algorithms are functional (state in, state out) and deterministic
 given a seed. Trace sinks receive ``iter<TAB>value`` lines.
 
-A state reads its ``data`` once, when it is made: it binds each block's
-eta plan and the log joint's (Gibbs) or energy's (mean field) plan to the
-data (:meth:`graph.EvalPlan.bind`), so a sweep or an update runs only the
-steps that read a latent, with like terms collected: one contraction per
-distinct latent term. Replacing ``data`` with a new mapping
+A state reads its ``data`` once, when it is made. The blocks' eta graphs
+and the mean-field energy are swept again with the data as constants
+(:func:`canonicalize.bind`), so a sweep or an update runs only the steps
+that read a latent, one contraction per distinct latent term. The Gibbs
+log joint, the user's graph, only has its data folded: a trace value is
+:func:`graph.evaluate`'s to the bit unless an einsum reads two data
+operands beside a latent. Replacing ``data`` with a new mapping
 (``dataclasses.replace(state, data=...)``) binds the plans again; arrays
 changed in place after binding are not seen. Each block's distribution is
 checked, and a multivariate normal's precision factored, once per draw or
@@ -30,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graph as G
+from .canonicalize import bind
 from .conjugacy import MultilinearRepr, complete_conditional
 from .errors import NaturalDomainError
 
@@ -47,13 +50,14 @@ class _Plans(NamedTuple):
     joint: G.EvalPlan | None
 
     @classmethod
-    def bind(cls, data, blocks, graph):
+    def bind(cls, data, blocks, graph, fold_only=False):
         """Bind to ``data`` with the blocks' latents left out: a latent is
         always read from the state's current values."""
         latents = {b.name for b in blocks}
         env = {k: v for k, v in data.items() if k not in latents}
-        return cls(data, {b.name: b.eta_plan.bind(env) for b in blocks},
-                   None if graph is None else graph.plan().bind(env))
+        return cls(data, {b.name: bind([s.eta_graph for s in b.stats], env)
+                          for b in blocks},
+                   None if graph is None else bind([graph], env, fold_only))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +81,7 @@ class GibbsState:
         if self.plans is None or self.plans.data is not self.data:
             object.__setattr__(self, "plans", _Plans.bind(
                 self.data, [f.block for f in self.factories.values()],
-                self.log_joint))
+                self.log_joint, fold_only=True))
 
 
 def make_gibbs(log_joint, latents, init, data, seed=0) -> GibbsState:

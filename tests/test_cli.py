@@ -231,6 +231,23 @@ class TestCheckCmd:
         assert r.stdout == (f"PASS {model}: prob has a Beta complete "
                             f"conditional\n")
 
+    @pytest.mark.parametrize("text, var, family, missing", [
+        ("input x () REAL\ninput c ()\nprim n2 multiply x c\n"
+         "prim n3 negate n2\noutput n3\n", "x", "Normal", "square"),
+        ("input t () NONNEGATIVE\nprim n1 log t\nconst n2 () 2.0\n"
+         "prim n3 multiply n2 n1\noutput n3\n", "t", "Gamma", "identity"),
+    ], ids=["normal_without_square", "gamma_without_identity"])
+    def test_never_proper_conditional_fails(self, tmp_path, text, var,
+                                            family, missing):
+        model = tmp_path / "m.txt"
+        model.write_text("# symconj-graph v1\n" + text)
+        r = run_cli("check", "--model", str(model))
+        assert r.returncode == 1
+        assert r.stdout == (
+            f"FAIL {model}: {var} (variable {var!r} matches {family}, but "
+            f"the model holds no {missing} statistic of it, so its "
+            f"conditional is never proper)\n")
+
     def test_corrupted_fixture_fails_conjugacy_suite(self):
         r = run_cli("check", "--model", CORRUPT)
         assert r.returncode == 1

@@ -10,7 +10,9 @@ with
 
     PYTHONPATH=src:perfbench python tests/test_corpus_digests.py
 
-and says so in CHANGES.md.
+and says so in CHANGES.md; before it writes, it lists each changed
+position with the largest relative difference, scaled as C05 scales it,
+between the new form and the original graph at C05's input values.
 """
 
 import hashlib
@@ -31,7 +33,8 @@ COUNT = 150
 
 
 def corpus_graphs(n=COUNT):
-    """The first ``n`` graphs C05 checks, drawn as C05 draws them."""
+    """The first ``n`` graphs C05 checks, drawn as C05 draws them, each
+    with the input values C05 checks it at."""
     rng = np.random.default_rng(STRUCTURE_SEED)
     out = []
     while len(out) < n:
@@ -42,13 +45,16 @@ def corpus_graphs(n=COUNT):
         except SymconjError:
             continue
         if np.isfinite(v0):
-            out.append(g)
+            out.append((g, env))
     return out
 
 
+def digest(g):
+    return hashlib.sha256(G.dump(g).encode()).hexdigest()
+
+
 def corpus_digests():
-    return [hashlib.sha256(G.dump(canonicalize(g).graph).encode()).hexdigest()
-            for g in corpus_graphs()]
+    return [digest(canonicalize(g).graph) for g, _ in corpus_graphs()]
 
 
 def test_corpus_canonical_forms_match_pinned_digests():
@@ -61,6 +67,20 @@ def test_corpus_canonical_forms_match_pinned_digests():
 
 
 if __name__ == "__main__":
+    want = []
+    if os.path.exists(DATA):
+        with open(DATA) as f:
+            want = json.load(f)
+    cases = corpus_graphs()
+    forms = [canonicalize(g).graph for g, _ in cases]
+    got = [digest(form) for form in forms]
+    changed = [i for i, (a, b) in enumerate(zip(want, got)) if a != b]
+    print(f"changed: {len(changed)}")
+    for i in changed:
+        (g, env), form = cases[i], forms[i]
+        v0, v1 = float(G.evaluate(g, env)), float(G.evaluate(form, env))
+        print(f"  {i}: largest relative difference "
+              f"{abs(v0 - v1) / max(1.0, abs(v0)):.1e}")
     with open(DATA, "w") as f:
-        json.dump(corpus_digests(), f, indent=1)
+        json.dump(got, f, indent=1)
         f.write("\n")

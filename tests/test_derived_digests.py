@@ -12,7 +12,10 @@ purpose regenerates the file with
     PYTHONPATH=src python tests/test_derived_digests.py
 
 and says so in CHANGES.md; it prints each key whose dump changed,
-renumbered or restructured, before it writes.
+renumbered or restructured, before it writes, and for a changed
+``*/canonical`` key the largest relative difference, scaled as C05
+scales it, between the new form and ``direct_log_joint`` at
+``example_args(0..2)``.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from symconj import graph as G
 from symconj.canonicalize import canonicalize
 from symconj.conjugacy import (complete_conditional, marginalize,
                                multilinear_repr)
-from symconj.models import fixtures
+from symconj.models import fixture, fixtures
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "derived_digests.json")
 
@@ -71,6 +74,20 @@ def classify_changes(want, got):
     return renumbered, restructured
 
 
+def canonical_error(name):
+    """The largest relative difference between a fixture's canonical form
+    and its numpy mirror over ``example_args(0..2)``."""
+    fx = fixture(name)
+    form = canonicalize(fx.graph()).graph
+    errs = []
+    for seed in range(3):
+        args = fx.example_args(seed)
+        want = fx.direct_log_joint(args)
+        got = float(G.evaluate(form, args))
+        errs.append(abs(got - want) / max(1.0, abs(want)))
+    return max(errs)
+
+
 def test_derived_graphs_match_pinned_digests():
     with open(DATA) as f:
         want = json.load(f)
@@ -95,7 +112,11 @@ if __name__ == "__main__":
                         ("removed", sorted(set(want) - set(got)))):
         print(f"{title}: {len(keys)}")
         for k in keys:
-            print(f"  {k}")
+            name, kind = k.split("/")[:2]
+            print(f"  {k}" + (f": largest relative difference "
+                              f"{canonical_error(name):.1e} against "
+                              f"direct_log_joint" if kind == "canonical"
+                              else ""))
     with open(DATA, "w") as f:
         json.dump(got, f, indent=1, sort_keys=True)
         f.write("\n")

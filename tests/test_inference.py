@@ -302,10 +302,11 @@ class TestRunPhaseWork:
                                 cov=a @ np.swapaxes(a, -1, -2) + np.eye(3))
         counts = self.factorizations(monkeypatch)
         dist = Distribution(fam, nat)
-        dist.sample(rng)
+        dist.log_prob(dist.sample(rng))
         dist.mean_params()
         dist.log_normalizer()
         dist.standard()
+        dist.describe()
         assert counts == {"cholesky": 1}
 
     def test_sweeps_and_updates_factor_each_mvn_block_once(
@@ -354,29 +355,32 @@ class TestBoundData:
 
     def test_data_only_steps_run_once_when_the_chain_is_made(
             self, monkeypatch):
-        steps_run = []
-        run = G.EvalPlan.run
+        steps_run, folds = [], []
+        run, fold = G.EvalPlan.run, G._eval_prim
 
         def counting_run(plan, env):
             steps_run.append(len(plan.steps))  # one kernel call per step
             return run(plan, env)
 
+        def counting_fold(op, attrs, args):
+            folds.append(op)
+            return fold(op, attrs, args)
+
         fx = fixture("logistic_jj")
         g, data, init = split(fx)
         monkeypatch.setattr(G.EvalPlan, "run", counting_run)
+        monkeypatch.setattr(G, "_eval_prim", counting_fold)
         state = make_gibbs(g, fx.latents, init, data)
         assert len(state.factories["beta"].block.eta_plan.steps) == 17
         assert state.plans.etas["beta"].steps == []
-        joint_data_only = len(g.plan().steps) - len(state.plans.joint.steps)
-        # the joint's one einsum over data and beta is split in two: the
-        # contraction of its data operands also runs once, here
-        partials = len(state.plans.joint.initial) - len(g.plan().initial)
-        assert partials == 1
-        assert sum(steps_run) == 17 + joint_data_only + partials
+        # binding folded the data-only steps, here: the bound plans' own
+        # runs at binding found none left
+        assert steps_run == [0, 0] and folds
         steps_run.clear()
+        folds.clear()
         for _ in range(5):
             state = gibbs_sweep(state)
-        assert steps_run == [0] * 5
+        assert steps_run == [0] * 5 and folds == []
 
     @pytest.mark.parametrize("name", REFERENCE)
     def test_each_einsum_left_reads_at_most_one_known_operand(self, name):
