@@ -35,8 +35,8 @@ graph state stops the loop as a livelock.
 
 The log-splitting rules (log of a product/quotient/root) assume positive
 factors, which is the standing convention for the scale and probability
-quantities log densities are built from. Binding a model's data (:func:`bind`)
-is one more sweep, with the data in place of their inputs as constants.
+quantities log densities are built from. Binding a model's data is one
+more sweep, :func:`bind`, the only binder: the data stand in as constants.
 """
 
 from __future__ import annotations
@@ -191,16 +191,6 @@ def _plus(f1, f2):
         [i for i, c in enumerate(sub) if c not in s]) for s, v in (f1, f2))
 
 
-@functools.lru_cache(maxsize=None)
-def _renamed(formula, sub):
-    """``formula`` renamed as :func:`graph.rename_formula` renames it, and
-    ``sub``, letters of it, under the same names."""
-    lhs, out = formula.split("->")
-    names = "".join(dict.fromkeys(out + lhs.replace(",", "")))
-    table = str.maketrans(names, INDEX_ALPHABET[:len(names)])
-    return formula.translate(table), sub.translate(table)
-
-
 class _Simplifier:
     def __init__(self, budget):
         self.gb = GraphBuilder()
@@ -271,7 +261,7 @@ class _Simplifier:
                 f = (subs, float(v) * k if subs == "" else v * k)
             else:
                 rest.append((subs, a))
-        formula, sub = _renamed(
+        formula, sub = G.rename_formula(
             ",".join([s for s, _ in rest]) + "->" + spec.output, f[0])
         if len(rest) == 1 and rest[0][0] == spec.output:
             return lazy.add_leaf(rest[0][1].nid, rest[0][1], (sub, f[1]),
@@ -686,8 +676,9 @@ def bind(graphs, env, fold_only=False) -> G.EvalPlan:
     sweep (:func:`_sweep`) folds what they decide, contracts each
     product's constants and collects the terms that differ only in their
     constant (not with ``fold_only``, so a graph with no einsum keeps its
-    bits). A fold that failed raises in :meth:`graph.EvalPlan.bind`.
-    Later changes to the arrays in ``env`` are not seen."""
+    bits). A step left with only constant operands is a fold that failed:
+    it runs here once, so its kernel raises. Later changes to the arrays in
+    ``env`` are not seen."""
     s, handles = _Simplifier(_Budget(10000)), {}
     for node in {g.nodes[i].name: g.nodes[i]
                  for g in graphs for i in g.inputs}.values():
@@ -699,9 +690,13 @@ def bind(graphs, env, fold_only=False) -> G.EvalPlan:
             raise GraphError(f"input {node.name!r} expects shape "
                              f"{node.shape}, got {v.shape}")
         handles[node.name] = s.const(v)
-    return G.EvalPlan([s.gb.finish(_sweep(
+    plan = G.EvalPlan([s.gb.finish(_sweep(
         s, g, {i: handles[g.nodes[i].name] for i in g.inputs},
-        fold_only=fold_only)) for g in graphs]).bind({})
+        fold_only=fold_only)) for g in graphs])
+    for kernel, args, _ in plan.steps:
+        if all([plan.initial[a] is not None for a in args]):
+            kernel(*[plan.initial[a] for a in args])
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,9 @@ def read_argfile(path):
                 if name in values:
                     raise GraphError(f"argfile {path}: {name} given twice")
                 shape, buf = tuple(map(int, dims)), []
+                if min(shape, default=0) < 0:
+                    raise GraphError(f"argfile {path}: negative extent in "
+                                     f"line {line!r}")
             else:
                 buf += map(float, line.split())
         except ValueError:

@@ -13,8 +13,10 @@ Graphs are evaluated by :func:`evaluate`, differentiated symbolically by
 :func:`grad`, and edited by :func:`splice`. :func:`evaluate` runs the
 graph's :class:`EvalPlan`, compiled once per graph from the kernel
 factories: einsum ranks and extents are checked against the graph's
-static shapes when the plan is built; input bindings and shapes, kernel
-domains and the finiteness of kernel results are checked on every call.
+static shapes when the plan is built, input bindings and shapes on every
+call; only the unary and ``power`` kernels check their domains and the
+finiteness of their results. Node digests are computed in node order by
+one helper, for graphs and builders alike.
 Every transform that copies one graph into a builder (:func:`cse`, surgery,
 :func:`subgraph`, :func:`import_graph`, gradients, statistic discovery,
 natural-parameter extraction) goes through one traversal, :func:`rebuild`
@@ -32,7 +34,6 @@ operations here are pure: they return new graphs and never mutate.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import operator
@@ -62,19 +63,19 @@ def espec(formula: str) -> EinsumSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def rename_formula(formula: str) -> str:
+def rename_formula(formula: str, sub: str | None = None):
     """Rename indices by first appearance in an output-then-operands scan.
 
     Used both as the hash-consing key for einsum nodes and as the canonical
-    spelling rewritten into graphs during canonicalization.
+    spelling rewritten into graphs during canonicalization. Given ``sub``,
+    letters of the formula, returns the renamed formula and ``sub`` under
+    the same names.
     """
-    spec = espec(formula)
-    mapping: dict[str, str] = {}
-    for ch in spec.output + "".join(spec.operand_subscripts):
-        if ch not in mapping:
-            mapping[ch] = INDEX_ALPHABET[len(mapping)]
-    lhs = ",".join("".join(mapping[c] for c in s) for s in spec.operand_subscripts)
-    return lhs + "->" + "".join(mapping[c] for c in spec.output)
+    lhs, out = formula.split("->")
+    names = "".join(dict.fromkeys(out + lhs.replace(",", "")))
+    table = str.maketrans(names, INDEX_ALPHABET[:len(names)])
+    renamed = formula.translate(table)
+    return renamed if sub is None else (renamed, sub.translate(table))
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,14 @@ def _node_digest(node, arg_digests):
     return h.digest()
 
 
+def _extend_digests(digests, nodes, n):
+    """``digests``, the digests of the first nodes of ``nodes``, extended
+    in node order to the first ``n``."""
+    for i in range(len(digests), n):
+        digests.append(_node_digest(nodes[i], digests))
+    return digests
+
+
 class TermGraph:
     """Immutable acyclic data-flow graph with a designated output node."""
 
@@ -283,10 +292,7 @@ class TermGraph:
         """Per-node content digests (:func:`_node_digest`); equal digests
         mean structurally equal subgraphs."""
         if self._hashes is None:
-            hashes = []
-            for node in self.nodes:
-                hashes.append(_node_digest(node, hashes))
-            self._hashes = tuple(hashes)
+            self._hashes = tuple(_extend_digests([], self.nodes, len(self)))
         return self._hashes
 
     def reachable(self, roots=None):
@@ -381,7 +387,7 @@ class GraphBuilder:
         self._shapes = []
         self._inputs = []
         self._seen = {}
-        self._digests = {}
+        self._digests = []  # of the first nodes, in node order
 
     def _append(self, node, shape):
         key = self._key(node)
@@ -407,25 +413,7 @@ class GraphBuilder:
 
     def digest(self, h: "ExprHandle") -> bytes:
         """Deterministic structural digest of the subgraph at a handle."""
-        return self._digest_id(h.nid)
-
-    def _digest_id(self, nid):
-        """Digest of node ``nid``: each node is digested once, after its
-        arguments, on an explicit stack."""
-        d = self._digests.get(nid)
-        if d is not None:
-            return d
-        digests, stack = self._digests, [nid]
-        while stack:
-            i = stack[-1]
-            node = self._nodes[i]
-            if isinstance(node, PrimNode):
-                for a in node.args:
-                    if a not in digests:
-                        stack.append(a)
-            if stack[-1] == i:  # its arguments are digested
-                digests[stack.pop()] = _node_digest(node, digests)
-        return digests[nid]
+        return _extend_digests(self._digests, self._nodes, h.nid + 1)[h.nid]
 
     def input_handle(self, name) -> "ExprHandle":
         for i in self._inputs:
@@ -575,9 +563,9 @@ class EvalPlan:
     across graphs too, so an input or a common subexpression is bound or
     computed once per run. Each run checks every input binding and shape,
     so interior values have the shapes their kernels were built for; the
-    kernels check their domains and the finiteness of their results.
-    :meth:`bind` fixes inputs that do not change from run to run, such as
-    a model's data, and runs what depends on them alone just once.
+    unary and ``power`` kernels check their domains and the finiteness of
+    their results, the others (``add``, ``multiply``, ``einsum``, ...) do
+    not. Data are bound by :func:`canonicalize.bind`, not by the plan.
     """
 
     def __init__(self, graphs):
@@ -627,35 +615,6 @@ class EvalPlan:
         for kernel, args, slot in self.steps:
             values[slot] = kernel(*[values[a] for a in args])
         return [values[o] for o in self.outputs]
-
-    def bind(self, env: dict) -> "EvalPlan":
-        """This plan with the inputs named in ``env`` bound for good.
-
-        Copies of their values are checked here, by name and shape, and
-        every step whose operands are all bound or constant runs here,
-        once, with its kernel's checks. The plan returned holds the values
-        it still reads and runs only the other inputs and steps, each as
-        this plan runs it, so its values are this plan's, bit for bit;
-        later changes to the arrays in ``env`` are not seen.
-        """
-        now, later = copy.copy(self), copy.copy(self)
-        known = [v is not None for v in self.initial]
-        now.inputs, later.inputs = [], []
-        for name, shape, slot in self.inputs:
-            known[slot] = name in env
-            (now if known[slot] else later).inputs.append((name, shape, slot))
-        now.steps, later.steps = [], []
-        for step in self.steps:
-            known[step[2]] = all([known[a] for a in step[1]])
-            (now if known[step[2]] else later).steps.append(step)
-        now.outputs = range(len(known))
-        values = now.run({name: np.array(env[name], dtype=np.float64)
-                          for name, _, _ in now.inputs})
-        reads = {a for _, args, _ in later.steps for a in args}
-        reads.update(self.outputs)
-        later.initial = [v if s in reads else None
-                         for s, v in enumerate(values)]
-        return later
 
 
 def evaluate(g: TermGraph, env: dict) -> np.ndarray:

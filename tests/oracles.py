@@ -2,9 +2,10 @@
 against. Nothing here may call back into the code paths under test."""
 
 import itertools
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 
 def naive_einsum(formula, operands):
@@ -122,3 +123,138 @@ def gmm_conditionals(v):
                     v["a0"] + 0.5 * counts[:, None], tau.shape),
                 "rate": v["b0"] + 0.5 * np.einsum("nk,nkd->kd", member, sq)},
     }
+
+
+# ---------------------------------------------------------------------------
+# prior and likelihood samplers of four reference models, written from
+# their math in ``symconj.models``, for the successive-conditional test of
+# Geweke (2004). ``h`` is a fixture's example arguments: its fixed
+# hyperparameters and covariates are read from it, its latents and
+# observations are not.
+
+
+class PriorOracle(NamedTuple):
+    prior: Callable       # (rng, h) -> latents
+    likelihood: Callable  # (rng, h, latents) -> observations
+    stats: Callable       # (h, latents) -> {name: statistic}
+    means: Callable       # h -> {name: closed-form prior mean}
+
+
+def _gamma_means(a, b):
+    """E[tau] and E[log tau] under Gamma(shape a, rate b)."""
+    return a / b, special.digamma(a) - np.log(b)
+
+
+def _outer(v):
+    return v[..., :, None] * v[..., None, :]
+
+
+def _ng_stats(h, v):
+    # beta is a Student t a priori, whose fourth moment may not exist:
+    # its standardized value u ~ N(0, I) given tau carries its statistics
+    u = np.sqrt(h["kappa"] * v["tau"]) * (v["beta"] - h["mu0"])
+    return {"tau": v["tau"], "log tau": np.log(v["tau"]),
+            "u": u, "u u^T": _outer(u)}
+
+
+def _ng_means(h):
+    d = len(h["mu0"])
+    tau, log_tau = _gamma_means(h["a"], h["b"])
+    return {"tau": tau, "log tau": log_tau, "u": np.zeros(d),
+            "u u^T": np.eye(d)}
+
+
+def _ng_prior(rng, h):
+    tau = rng.gamma(h["a"], 1.0 / h["b"])
+    return {"tau": tau, "beta": h["mu0"] + rng.standard_normal(
+        len(h["mu0"])) / np.sqrt(h["kappa"] * tau)}
+
+
+def _ng_likelihood(rng, h, v):
+    return {"y": h["x"] @ v["beta"]
+            + rng.standard_normal(len(h["y"])) / np.sqrt(v["tau"])}
+
+
+def _kalman_prior(rng, h):
+    xt = h["xt_prior_mean"] + h["xt_prior_scale"] * rng.standard_normal()
+    return {"xt": xt, "xtt": xt + h["x_scale"] * rng.standard_normal()}
+
+
+def _kalman_means(h):
+    m, s2 = h["xt_prior_mean"], h["xt_prior_scale"] ** 2
+    return {"xt": m, "xt^2": m * m + s2,
+            "xtt": m, "xtt^2": m * m + s2 + h["x_scale"] ** 2}
+
+
+def _fa_prior(rng, h):
+    return {"w": rng.standard_normal(h["w"].shape),
+            "z": rng.standard_normal(h["z"].shape),
+            "tau": rng.gamma(h["a0"], 1.0 / h["b0"])}
+
+
+def _fa_stats(h, v):
+    return {"w": v["w"], "w_d w_d^T": _outer(v["w"]), "z": v["z"],
+            "z_n z_n^T": _outer(v["z"]), "tau": v["tau"],
+            "log tau": np.log(v["tau"])}
+
+
+def _fa_means(h):
+    (d, k), n = h["w"].shape, len(h["z"])
+    tau, log_tau = _gamma_means(h["a0"], h["b0"])
+    return {"w": np.zeros((d, k)), "w_d w_d^T": np.broadcast_to(
+                np.eye(k), (d, k, k)),
+            "z": np.zeros((n, k)), "z_n z_n^T": np.broadcast_to(
+                np.eye(k), (n, k, k)),
+            "tau": tau, "log tau": log_tau}
+
+
+def _gmm_prior(rng, h):
+    pi = rng.dirichlet(h["alpha"])
+    return {"pi": pi, "z": rng.choice(len(pi), len(h["z"]), p=pi).astype(
+                np.float64),
+            "mu": h["sigma0"] * rng.standard_normal(h["mu"].shape),
+            "tau": rng.gamma(h["a0"], 1.0 / h["b0"], h["tau"].shape)}
+
+
+def _gmm_likelihood(rng, h, v):
+    z = v["z"].astype(int)
+    return {"x": v["mu"][z] + rng.standard_normal(h["x"].shape)
+            / np.sqrt(v["tau"][z])}
+
+
+def _gmm_stats(h, v):
+    k = len(h["alpha"])
+    return {"pi": v["pi"], "log pi": np.log(v["pi"]),
+            "one_hot(z)": np.eye(k)[v["z"].astype(int)], "mu": v["mu"],
+            "mu^2": v["mu"] ** 2, "tau": v["tau"],
+            "log tau": np.log(v["tau"])}
+
+
+def _gmm_means(h):
+    alpha, shape = h["alpha"], h["mu"].shape
+    tau, log_tau = _gamma_means(h["a0"], h["b0"])
+    return {"pi": alpha / alpha.sum(),
+            "log pi": special.digamma(alpha) - special.digamma(alpha.sum()),
+            "one_hot(z)": np.broadcast_to(alpha / alpha.sum(),
+                                          (len(h["z"]), len(alpha))),
+            "mu": np.zeros(shape), "mu^2": np.full(shape, h["sigma0"] ** 2),
+            "tau": np.full(shape, tau), "log tau": np.full(shape, log_tau)}
+
+
+PRIOR_ORACLES = {
+    "normal_gamma": PriorOracle(_ng_prior, _ng_likelihood, _ng_stats,
+                                _ng_means),
+    "kalman": PriorOracle(
+        _kalman_prior,
+        lambda rng, h, v: {"ytt": v["xtt"]
+                           + h["y_scale"] * rng.standard_normal()},
+        lambda h, v: {"xt": v["xt"], "xt^2": v["xt"] ** 2,
+                      "xtt": v["xtt"], "xtt^2": v["xtt"] ** 2},
+        _kalman_means),
+    "factor_analysis": PriorOracle(
+        _fa_prior,
+        lambda rng, h, v: {"x": v["z"] @ v["w"].T + rng.standard_normal(
+            h["x"].shape) / np.sqrt(v["tau"])},
+        _fa_stats, _fa_means),
+    "gmm": PriorOracle(_gmm_prior, _gmm_likelihood, _gmm_stats, _gmm_means),
+}

@@ -146,6 +146,17 @@ class TestConditionalCmd:
         assert r.stderr == (f"error: argfile {argfile}: bad line "
                             f"'prob 1.5'\n")
 
+    @pytest.mark.parametrize("header", ["n_heads -1", "n_heads 2 -2"])
+    def test_negative_argfile_extent_exits_2_naming_the_line(
+            self, tmp_path, header):
+        argfile = tmp_path / "args.txt"
+        argfile.write_text(f"{header}\n60\n")
+        r = run_cli("conditional", "beta_bernoulli", "--var", "prob",
+                    "--at", str(argfile))
+        assert r.returncode == 2
+        assert r.stderr == (f"error: argfile {argfile}: negative extent in "
+                            f"line {header!r}\n")
+
     def test_argfile_missing_an_argument_exits_2(self, tmp_path):
         argfile = tmp_path / "args.txt"
         argfile.write_text("n_heads\n60\nn_draws\n100\n")

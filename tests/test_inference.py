@@ -7,7 +7,8 @@ import pytest
 
 from symconj import graph as G
 from symconj.conjugacy import marginalize, multilinear_repr
-from symconj.errors import GraphError, NumericDomainError
+from symconj.errors import (GraphError, NaturalDomainError,
+                            NumericDomainError)
 from symconj.expfam import BUILTIN, Distribution, SupportType
 from symconj.inference import (
     cavi_update, elbo, gibbs_sweep, init_meanfield, make_gibbs, run_cavi,
@@ -188,6 +189,23 @@ class TestCavi:
                 cur = elbo(state)
                 assert cur >= prev - 1e-9 * max(1.0, abs(prev))
                 prev = cur
+
+    def test_update_leaving_the_natural_domain_names_its_block(self):
+        # tau's rate is b - E[x]: b at the start, where x's statistics are
+        # zeroed, and b - m < 0 once x's update has set E[x] = m
+        g = G.build(lambda tau, x, a, b, m: (a - 1.0) * G.log(tau)
+                    - tau * (b - x) - 0.5 * G.square(x) + m * x,
+                    [("tau", (), "NONNEGATIVE"), ("x", (), "REAL"),
+                     ("a", ()), ("b", ()), ("m", ())])
+        mrepr = multilinear_repr(
+            g, argnums=[0, 1],
+            supports=[SupportType.NONNEGATIVE, SupportType.REAL])
+        state = init_meanfield(mrepr, dict(a=2.0, b=1.0, m=3.0))
+        assert float(state.means["x"]["identity"]) == 3.0
+        with pytest.raises(NaturalDomainError,
+                           match=r"^update for 'tau' left the natural "
+                                 r"domain: Gamma: "):
+            cavi_update(state, "tau")
 
     def test_run_cavi_zero_iters(self):
         mrepr, g = bb_repr()
@@ -373,9 +391,8 @@ class TestBoundData:
         state = make_gibbs(g, fx.latents, init, data)
         assert len(state.factories["beta"].block.eta_plan.steps) == 17
         assert state.plans.etas["beta"].steps == []
-        # binding folded the data-only steps, here: the bound plans' own
-        # runs at binding found none left
-        assert steps_run == [0, 0] and folds
+        # binding folded the data-only steps and ran no plan
+        assert steps_run == [] and folds
         steps_run.clear()
         folds.clear()
         for _ in range(5):
@@ -456,6 +473,15 @@ class TestBoundData:
             make_gibbs(g, latents, {"z": 0.0}, {"a": -2.0})
         with pytest.raises(NumericDomainError, match="^log: domain violation"):
             init_meanfield(mrepr, {"a": -2.0})
+
+    @pytest.mark.parametrize("name", REFERENCE)
+    def test_gibbs_trace_equals_evaluate_bit_for_bit(self, name):
+        fx = fixture(name)
+        g, data, init = split(fx)
+        state = make_gibbs(g, fx.latents, init, data, seed=3)
+        for _ in range(20):  # the trace value is the bound log joint's
+            ((_, value),), state = run_gibbs(g, state, 1)
+            assert value == float(G.evaluate(g, {**data, **state.values}))
 
     def test_run_gibbs_values_the_log_joint_it_is_given(self):
         def model(u, v, x):
